@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot primitives: similarity
-// measures, tokenization, blocking-key generation and the MapReduce
-// substrate. These are the inner loops of the pairwise-matching stage.
+// measures, tokenization and blocking-key generation. These are the inner
+// loops of the pairwise-matching stage.
 //
 // With `--json`, skips google-benchmark and instead times the
 // signature-bound kernels at every supported SIMD dispatch level
@@ -16,7 +16,6 @@
 #include "bdi/common/cpu.h"
 #include "bdi/common/random.h"
 #include "bdi/common/timer.h"
-#include "bdi/dataflow/mapreduce.h"
 #include "bdi/text/interner.h"
 #include "bdi/text/similarity.h"
 #include "bdi/text/tokenizer.h"
@@ -99,31 +98,6 @@ void BM_IdentifierTokens(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IdentifierTokens);
-
-void BM_MapReduceWordCount(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<std::string> docs;
-  for (int i = 0; i < 2000; ++i) docs.push_back(MakeName(&rng));
-  for (auto _ : state) {
-    auto out = dataflow::MapReduce<std::string, std::string, int,
-                                   std::pair<std::string, int>>(
-        docs,
-        [](const std::string& doc,
-           dataflow::Emitter<std::string, int>* emitter) {
-          for (const std::string& token : text::WordTokens(doc)) {
-            emitter->Emit(token, 1);
-          }
-        },
-        [](const std::string& key, std::vector<int>&& values) {
-          int total = 0;
-          for (int v : values) total += v;
-          return std::make_pair(key, total);
-        });
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_MapReduceWordCount);
 
 // ---------------------------------------------------------------------------
 // --json mode: signature-bound kernels per SIMD dispatch level.

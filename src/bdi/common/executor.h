@@ -11,10 +11,11 @@ namespace bdi {
 
 /// Process-wide execution substrate: one lazily-initialized shared
 /// ThreadPool behind chunked, work-stealing parallel loops (see DESIGN.md,
-/// "execution substrate"). Every parallel stage in the pipeline — dataflow
-/// MapReduce/ParallelMap, pairwise matching, fusion EM loops, copy
-/// detection, blocking — runs on this pool instead of constructing and
-/// joining a private pool per call.
+/// "execution substrate"). Every parallel stage in the pipeline —
+/// blocking, pairwise matching, fusion EM loops, copy detection — runs on
+/// this pool instead of constructing and joining a private pool per call;
+/// it is what substitutes for a distributed dataflow cluster at laptop
+/// scale (see DESIGN.md, substitutions).
 ///
 /// Scheduling: the iteration space [0, n) is split into chunks; the calling
 /// thread and up to `max_parallelism - 1` pool workers claim chunks from a

@@ -12,9 +12,8 @@
 
 namespace bdi {
 
-/// Fixed-size worker pool. This is the execution substrate for the
-/// `bdi::dataflow` MapReduce engine, substituting for a distributed cluster
-/// at laptop scale (see DESIGN.md, substitutions).
+/// Fixed-size worker pool: the workers behind the shared Executor
+/// (executor.h), which is what the pipeline's parallel stages call.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).

@@ -27,45 +27,18 @@ metrics::Counter& VectorPassCounter() {
   return *counter;
 }
 
-// Shared with the per-pair cascade in linkage.cc: same names register the
-// same instruments, so both paths feed one prefilter surface.
-
-metrics::Counter& PrefilterEvaluatedCounter() {
-  static metrics::Counter* counter = metrics::Registry::Get().RegisterCounter(
-      "bdi.linkage.matching.prefilter.evaluated");
-  return *counter;
-}
-
-metrics::Counter& PrefilterSkippedCounter() {
-  static metrics::Counter* counter = metrics::Registry::Get().RegisterCounter(
-      "bdi.linkage.matching.prefilter.skipped");
-  return *counter;
-}
-
-metrics::Histogram& PrefilterBoundGapHistogram() {
-  static metrics::Histogram* histogram =
-      metrics::Registry::Get().RegisterHistogram(
-          "bdi.linkage.matching.prefilter.bound_gap",
-          {0.05, 0.1, 0.2, 0.3, 0.5, 1.0});
-  return *histogram;
-}
-
 /// Lanes per tile of the slab. A chunk can hold tens of thousands of
-/// pairs; materializing its whole bound/feature arrays would spill the
-/// cache between the bound pass and the survivor pass, so each tile is
-/// processed end to end (gather, bounds, compact, full kernels, write)
-/// before the next begins. At 1024 lanes the tile's working set —
-/// features (40 KiB), bounds (8 KiB), refs (8 KiB) — stays resident in
-/// L2 across all passes. Tiling only regroups the passes; every lane
-/// still runs the same per-pair operations in the same order.
+/// pairs; materializing its whole feature array would spill the cache
+/// between filling the lanes and running the kernels over them, so each
+/// tile is processed end to end (gather, kernels, write) before the next
+/// begins. At 1024 lanes the tile's working set — features (40 KiB) and
+/// refs (8 KiB) — stays resident in L2. Tiling only regroups the passes;
+/// every lane still runs the same per-pair operations in the same order.
 constexpr size_t kSlabTileLanes = 1024;
 
-/// One tile of the slab: the three-pass cascade over `pairs[0..n)` with
-/// `n <= kSlabTileLanes`. See ScoreCandidateSlab for the contract.
-size_t ScoreSlabTile(const FeatureExtractor& extractor,
-                     const PairScorer& scorer, const CandidatePair* pairs,
-                     size_t n, bool use_prefilter, bool metrics_on,
-                     CandidateSlab& slab, double* scores) {
+/// Copies `pairs[0..n)` into the slab's lane arrays (growing them when
+/// needed), with `n <= kSlabTileLanes`.
+void FillLanes(const CandidatePair* pairs, size_t n, CandidateSlab& slab) {
   slab.a.resize(std::max(slab.a.size(), n));
   slab.b.resize(std::max(slab.b.size(), n));
   slab.features.resize(std::max(slab.features.size(), n));
@@ -73,107 +46,39 @@ size_t ScoreSlabTile(const FeatureExtractor& extractor,
     slab.a[i] = pairs[i].a;
     slab.b[i] = pairs[i].b;
   }
-
-  if (!use_prefilter) {
-    extractor.ExtractBatch(slab.a.data(), slab.b.data(), n,
-                           slab.features.data(), slab.scratch);
-    scorer.ScoreBatch(slab.features.data(), n, scores);
-    return 0;
-  }
-
-  // Pass 1: bounds for every lane. The signature reductions underneath
-  // run the dispatched SSE2/AVX2 kernels; each lane's result is the exact
-  // integer arithmetic the scalar path produces.
-  slab.bounds.resize(std::max(slab.bounds.size(), n));
-  extractor.ExtractBoundsBatch(slab.a.data(), slab.b.data(), n,
-                               slab.features.data(), slab.scratch);
-  scorer.ScoreUpperBoundBatch(slab.features.data(), n, slab.bounds.data());
-
-  // Pass 2: the same skip rule as the per-pair cascade, lane by lane. A
-  // skipped lane records its bound (below threshold by construction), so
-  // the output slots match the per-pair path bit for bit.
-  const double threshold = scorer.threshold();
-  slab.survivors.clear();
-  size_t skipped = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (slab.bounds[i] + kPrefilterSlack < threshold) {
-      scores[i] = slab.bounds[i];
-      ++skipped;
-    } else {
-      slab.survivors.push_back(static_cast<uint32_t>(i));
-    }
-  }
-
-  // Pass 3: full kernels over the compacted survivor lanes. Survivor lane
-  // indices are strictly increasing, so the forward in-place compaction
-  // never overwrites a lane it still needs; the compacted arrays give the
-  // kernels (and the prefetcher) a dense access order.
-  size_t num_survivors = slab.survivors.size();
-  if (num_survivors > 0) {
-    for (size_t k = 0; k < num_survivors; ++k) {
-      slab.a[k] = slab.a[slab.survivors[k]];
-      slab.b[k] = slab.b[slab.survivors[k]];
-    }
-    extractor.ExtractBatch(slab.a.data(), slab.b.data(), num_survivors,
-                           slab.features.data(), slab.scratch);
-    slab.survivor_scores.resize(
-        std::max(slab.survivor_scores.size(), num_survivors));
-    scorer.ScoreBatch(slab.features.data(), num_survivors,
-                      slab.survivor_scores.data());
-    for (size_t k = 0; k < num_survivors; ++k) {
-      scores[slab.survivors[k]] = slab.survivor_scores[k];
-    }
-    if (metrics_on) {
-      for (size_t k = 0; k < num_survivors; ++k) {
-        PrefilterBoundGapHistogram().Observe(
-            slab.bounds[slab.survivors[k]] - slab.survivor_scores[k]);
-      }
-    }
-  }
-  return skipped;
 }
 
 }  // namespace
 
-size_t ScoreCandidateSlab(const FeatureExtractor& extractor,
-                          const PairScorer& scorer,
-                          const CandidatePair* pairs, size_t n,
-                          bool use_prefilter, CandidateSlab& slab,
-                          double* scores) {
-  const bool metrics_on = metrics::Enabled();
-  if (metrics_on) {
+void ScoreCandidateSlab(const FeatureExtractor& extractor,
+                        const PairScorer& scorer, const CandidatePair* pairs,
+                        size_t n, CandidateSlab& slab, double* scores) {
+  if (metrics::Enabled()) {
     SlabsCounter().Add();
     LanesCounter().Add(n);
-    if (use_prefilter &&
-        cpu::ActiveSimdLevel() != cpu::SimdLevel::kScalar) {
-      VectorPassCounter().Add(n);
-    }
   }
-  size_t skipped = 0;
   for (size_t base = 0; base < n; base += kSlabTileLanes) {
     size_t tile = std::min(kSlabTileLanes, n - base);
-    skipped += ScoreSlabTile(extractor, scorer, pairs + base, tile,
-                             use_prefilter, metrics_on, slab, scores + base);
+    FillLanes(pairs + base, tile, slab);
+    extractor.ExtractBatch(slab.a.data(), slab.b.data(), tile,
+                           slab.features.data(), slab.scratch);
+    scorer.ScoreBatch(slab.features.data(), tile, scores + base);
   }
-  if (metrics_on && use_prefilter) {
-    PrefilterEvaluatedCounter().Add(n);
-    PrefilterSkippedCounter().Add(skipped);
-  }
-  return skipped;
 }
 
 void BoundCandidateSlab(const FeatureExtractor& extractor,
                         const PairScorer& scorer, const CandidatePair* pairs,
                         size_t n, CandidateSlab& slab, double* bounds) {
+  // The signature reductions underneath run the dispatched SSE2/AVX2
+  // kernels; each lane's result is the exact integer arithmetic the
+  // scalar path produces.
+  if (metrics::Enabled() &&
+      cpu::ActiveSimdLevel() != cpu::SimdLevel::kScalar) {
+    VectorPassCounter().Add(n);
+  }
   for (size_t base = 0; base < n; base += kSlabTileLanes) {
     size_t tile = std::min(kSlabTileLanes, n - base);
-    slab.a.resize(std::max(slab.a.size(), tile));
-    slab.b.resize(std::max(slab.b.size(), tile));
-    slab.features.resize(std::max(slab.features.size(), tile));
-    for (size_t i = 0; i < tile; ++i) {
-      slab.a[i] = pairs[base + i].a;
-      slab.b[i] = pairs[base + i].b;
-    }
+    FillLanes(pairs + base, tile, slab);
     extractor.ExtractBoundsBatch(slab.a.data(), slab.b.data(), tile,
                                  slab.features.data(), slab.scratch);
     scorer.ScoreUpperBoundBatch(slab.features.data(), tile, bounds + base);

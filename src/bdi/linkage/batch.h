@@ -1,9 +1,6 @@
 #ifndef BDI_LINKAGE_BATCH_H_
 #define BDI_LINKAGE_BATCH_H_
 
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "bdi/linkage/blocking.h"
@@ -14,107 +11,49 @@ namespace bdi::linkage {
 
 /// Structure-of-arrays working set for one chunk of candidate pairs — the
 /// matching stage's cache-conscious slab. A worker fills the lane arrays
-/// for a tile of its chunk, runs the vectorized bound pass over every
-/// lane, then compacts the survivors and feeds them to the full kernels
-/// in lane order, so each pass streams through contiguous memory instead
-/// of ping-ponging between bound state and kernel state per pair. Chunks
-/// are processed in fixed-size tiles (see kSlabTileLanes in batch.cc) so
-/// the lane arrays stay cache-resident between the passes no matter how
-/// large the chunk is.
+/// for a tile of its chunk and runs one kernel pass over every lane, so
+/// each pass streams through contiguous memory instead of ping-ponging
+/// between per-pair state. Chunks are processed in fixed-size tiles (see
+/// kSlabTileLanes in batch.cc) so the lane arrays stay cache-resident no
+/// matter how large the chunk is.
 ///
 /// Ownership follows the SimilarityScratch rule (DESIGN.md): one slab per
 /// worker, reused across chunks; every buffer is grow-only, so
 /// steady-state chunks allocate nothing. A slab must never be shared
 /// between concurrently running workers.
 struct CandidateSlab {
-  /// Lane arrays: record refs of the chunk's pairs, index-aligned.
+  /// Lane arrays: record refs of the tile's pairs, index-aligned.
   std::vector<RecordIdx> a;
   std::vector<RecordIdx> b;
-  /// Per-lane feature slots: bound-pass output first, then (for the
-  /// survivor prefix) the full features.
+  /// Per-lane feature slots: the bound features in a bound pass, the full
+  /// features in a scoring pass.
   std::vector<PairFeatures> features;
-  /// Per-lane scorer bound from the bound pass.
-  std::vector<double> bounds;
-  /// Lane indices that survived the bound pass, in lane order.
-  std::vector<uint32_t> survivors;
-  /// Survivor scores, index-aligned with `survivors`.
-  std::vector<double> survivor_scores;
   /// The one grow-only kernel scratch shared by every lane in the slab.
   text::SimilarityScratch scratch;
-  /// Gather staging for schedule-ordered scoring (the progressive path):
-  /// pairs copied into schedule order and their scores, before the caller
-  /// scatters them back to original slots. Grow-only like every other
-  /// buffer here.
+  /// Gather staging for schedule-ordered scoring (the progressive
+  /// scheduler): pairs copied into schedule order and their scores,
+  /// before the caller scatters them back to original slots.
   std::vector<CandidatePair> gather;
   std::vector<double> gather_scores;
 };
 
-/// Mutex-guarded checkout pool of CandidateSlabs shared by the workers of
-/// one parallel matching run. Reusing a slab across chunks keeps its
-/// scratch and memo warm (an allocation/perf concern only — slab reuse
-/// cannot change results, pinned by the equivalence suites). Hold a slab
-/// through a SlabPool::Lease for the duration of one chunk.
-class SlabPool {
- public:
-  /// RAII checkout: acquires a slab (reusing a returned one when
-  /// available) on construction, returns it on destruction.
-  class Lease {
-   public:
-    /// Checks a slab out of `pool`; the lease must not outlive it.
-    explicit Lease(SlabPool& pool) : pool_(pool), slab_(pool.Acquire()) {}
-    ~Lease() { pool_.Release(std::move(slab_)); }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    /// The checked-out slab.
-    CandidateSlab& operator*() const { return *slab_; }
-    /// Member access on the checked-out slab.
-    CandidateSlab* operator->() const { return slab_.get(); }
+/// Scores `n` candidate pairs through the slab: fills `slab`'s lanes from
+/// `pairs` tile by tile, runs the full kernel stack over every lane, and
+/// writes each pair's score into `scores[0..n)`. Bitwise identical in
+/// every slot to `scorer.Score(extractor.Extract(a, b, scratch))` per
+/// pair, for every scorer: the batch kernels run the same per-pair
+/// operations in the same order, only grouped into passes.
+void ScoreCandidateSlab(const FeatureExtractor& extractor,
+                        const PairScorer& scorer, const CandidatePair* pairs,
+                        size_t n, CandidateSlab& slab, double* scores);
 
-   private:
-    SlabPool& pool_;
-    std::unique_ptr<CandidateSlab> slab_;
-  };
-
- private:
-  std::unique_ptr<CandidateSlab> Acquire() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (free_.empty()) return std::make_unique<CandidateSlab>();
-    std::unique_ptr<CandidateSlab> slab = std::move(free_.back());
-    free_.pop_back();
-    return slab;
-  }
-
-  void Release(std::unique_ptr<CandidateSlab> slab) {
-    std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(slab));
-  }
-
-  std::mutex mu_;
-  std::vector<std::unique_ptr<CandidateSlab>> free_;
-};
-
-/// Scores `n` candidate pairs through the slab batch path: fills `slab`'s
-/// lanes from `pairs`, runs the vectorized bound pass (when
-/// `use_prefilter`), then the full kernel stack over the survivors, and
-/// writes one score per pair into `scores[0..n)` — the score upper bound
-/// for prefilter-skipped pairs (below threshold by construction), the
-/// true score for everything else. Bitwise identical to the per-pair
-/// cascade in every slot, for every scorer: the batch path runs the same
-/// kernels in the same per-pair operation order, only grouped into
-/// passes. Returns the number of prefilter-skipped pairs.
-size_t ScoreCandidateSlab(const FeatureExtractor& extractor,
-                          const PairScorer& scorer,
-                          const CandidatePair* pairs, size_t n,
-                          bool use_prefilter, CandidateSlab& slab,
-                          double* scores);
-
-/// The slab bound pass alone: fills `bounds[0..n)` with the scorer's
-/// cheap score upper bound for each pair, via the same tiled
-/// ExtractBoundsBatch + ScoreUpperBoundBatch passes the full cascade
-/// runs, without touching the full kernels. Each bound is bitwise the
-/// value the cascade would compute for that pair; the progressive
-/// scheduler (progressive.h) uses this to rank candidates before
-/// spending its comparison budget.
+/// The slab bound pass: fills `bounds[0..n)` with the scorer's cheap
+/// score upper bound for each pair, via tiled ExtractBoundsBatch +
+/// ScoreUpperBoundBatch passes, without touching the full kernels. Each
+/// bound is bitwise `scorer.ScoreUpperBound(extractor.ExtractBounds(...))`
+/// for that pair at every SIMD dispatch level; the progressive scheduler
+/// (progressive.h) uses these to skip and rank candidates before spending
+/// its comparison budget.
 void BoundCandidateSlab(const FeatureExtractor& extractor,
                         const PairScorer& scorer, const CandidatePair* pairs,
                         size_t n, CandidateSlab& slab, double* bounds);

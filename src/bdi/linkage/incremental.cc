@@ -1,33 +1,12 @@
 #include "bdi/linkage/incremental.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "bdi/common/logging.h"
-#include "bdi/linkage/batch.h"
 #include "bdi/text/tokenizer.h"
 
 namespace bdi::linkage {
-
-namespace {
-
-std::unique_ptr<PairScorer> MakeScorer(ScorerKind kind, double threshold) {
-  std::unique_ptr<PairScorer> scorer;
-  switch (kind) {
-    case ScorerKind::kLinear:
-      scorer = std::make_unique<LinearScorer>();
-      break;
-    case ScorerKind::kRule:
-      scorer = std::make_unique<RuleScorer>();
-      break;
-    case ScorerKind::kLearned:
-      scorer = std::make_unique<LearnedScorer>();
-      break;
-  }
-  scorer->set_threshold(threshold);
-  return scorer;
-}
-
-}  // namespace
 
 IncrementalLinker::IncrementalLinker(const Dataset* dataset,
                                      const Config& config)
@@ -147,31 +126,19 @@ size_t IncrementalLinker::AddNewRecords() {
     IndexRecord(idx);
   }
   size_t comparisons = pairs.size();
+  // Bound-ranked scheduling across the whole update, serial (the
+  // incremental path is the serving layer's latency-bound call; its
+  // batches are small and the caller owns threading). Unbudgeted, every
+  // survivor is compared; a lane whose bound cannot reach the threshold
+  // records that bound and can never become an edge.
   std::vector<double> scores(pairs.size());
-  std::vector<uint8_t> scored;
-  if (config_.comparison_budget > 0.0 || config_.budget_ms > 0.0) {
-    // Budgeted batch: bound-ranked scheduling across the whole update,
-    // serial (the incremental path is the serving layer's latency-bound
-    // call; its batches are small and the caller owns threading).
-    scored.assign(pairs.size(), 0);
-    last_progressive_ = ScorePairsProgressive(
-        extractor_, *scorer_, pairs.data(), pairs.size(),
-        config_.comparison_budget, config_.budget_ms, config_.use_prefilter,
-        /*num_threads=*/1, scores.data(), scored.data());
-  } else {
-    // One grow-only slab serves the whole batch — the same comparison
-    // cascade and batch kernels as Linker::Run. A lane whose bound cannot
-    // reach the threshold records that bound (below threshold by
-    // construction) and can never become an edge, leaving the edge set
-    // identical to the unfiltered path. Scoring the accumulated batch in
-    // one call produces the same bits as the old per-record calls: every
-    // lane's kernel result is grouping-independent.
-    CandidateSlab slab;
-    ScoreCandidateSlab(extractor_, *scorer_, pairs.data(), pairs.size(),
-                       config_.use_prefilter, slab, scores.data());
-  }
+  std::vector<uint8_t> scored(pairs.size(), 0);
+  last_progressive_ = ScorePairsProgressive(
+      extractor_, *scorer_, pairs.data(), pairs.size(),
+      config_.comparison_budget, config_.budget_ms, /*num_threads=*/1,
+      scores.data(), scored.data());
   for (size_t i = 0; i < pairs.size(); ++i) {
-    if (!scored.empty() && scored[i] == 0) continue;  // budget-deferred
+    if (scored[i] == 0) continue;  // budget-deferred or closure-pruned
     if (scores[i] >= threshold) {
       CandidatePair pair{std::min(pairs[i].a, pairs[i].b),
                          std::max(pairs[i].a, pairs[i].b)};

@@ -26,7 +26,10 @@ namespace bdi::linkage {
 /// schemas keep the cheap fast path.
 class IncrementalLinker {
  public:
+  /// Linker settings, fixed at construction except for the budgets
+  /// (set_comparison_budget, set_budget_ms).
   struct Config {
+    /// Scorer and match threshold, built by MakeScorer (linkage.h).
     ScorerKind scorer = ScorerKind::kRule;
     double threshold = 0.5;
     /// Name-token postings longer than this stop generating candidates
@@ -34,24 +37,18 @@ class IncrementalLinker {
     size_t max_posting = 200;
     size_t id_min_token_len = 4;
     size_t min_name_token_len = 3;
-    /// Comparison cascade for the refresh path, same contract as
-    /// LinkerConfig::use_prefilter: the matched-edge set is identical
-    /// with it on or off.
-    bool use_prefilter = true;
     /// Progressive comparison budget applied to each AddNewRecords()
     /// batch (LinkerConfig::comparison_budget encoding: 0 = unlimited,
     /// (0, 1) = fraction of the batch's payable comparisons, >= 1 =
-    /// absolute count). Non-zero routes the batch through the
-    /// bound-ranked scheduler (progressive.h), spending the budget on
-    /// the highest-bound candidate pairs first — a fixed latency budget
-    /// per update batch. With it unlimited the edge set is bitwise
-    /// identical to the classic path.
+    /// absolute count). Every batch runs the bound-ranked scheduler
+    /// (progressive.h); a budget spends itself on the highest-bound
+    /// candidate pairs first — a fixed latency budget per update batch.
     double comparison_budget = 0.0;
     /// Wall-clock deadline per AddNewRecords() batch, in milliseconds
-    /// (LinkerConfig::budget_ms semantics: 0 = none, positive routes the
-    /// batch through the progressive scheduler and stops comparing at
-    /// round boundaries once the deadline passes). The serving layer's
-    /// per-batch latency bound; composable with `comparison_budget`.
+    /// (LinkerConfig::budget_ms semantics: 0 = none, positive stops the
+    /// scheduler at the first round boundary past the deadline). The
+    /// serving layer's per-batch latency bound; composable with
+    /// `comparison_budget`.
     double budget_ms = 0.0;
   };
 
@@ -74,12 +71,15 @@ class IncrementalLinker {
   /// labels).
   EntityClusters Clusters() const;
 
+  /// Records indexed so far, matched edges kept (tombstoned endpoints
+  /// included), and pair comparisons made over every batch.
   size_t num_indexed() const { return next_record_; }
   size_t num_edges() const { return edges_.size(); }
   size_t total_comparisons() const { return total_comparisons_; }
 
-  /// Scheduler stats of the last AddNewRecords() batch when a
-  /// comparison budget is configured (zero-initialized otherwise).
+  /// Scheduler stats of the last AddNewRecords() batch (zero-initialized
+  /// before the first). An unbudgeted batch reports `num_scheduled` equal
+  /// to its `num_survivors` and `budget_stopped == false`.
   const ProgressiveStats& last_progressive() const {
     return last_progressive_;
   }

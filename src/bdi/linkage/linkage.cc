@@ -1,16 +1,14 @@
 #include "bdi/linkage/linkage.h"
 
-#include <algorithm>
-#include <atomic>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <vector>
 
-#include "bdi/common/executor.h"
 #include "bdi/common/metrics.h"
 #include "bdi/common/timer.h"
 #include "bdi/common/trace.h"
-#include "bdi/linkage/batch.h"
 #include "bdi/linkage/progressive.h"
-#include "bdi/text/similarity.h"
 
 namespace bdi::linkage {
 
@@ -40,48 +38,24 @@ metrics::Counter& MatchesCounter() {
   return *counter;
 }
 
-metrics::Counter& MatchChunksCounter() {
-  static metrics::Counter* counter = metrics::Registry::Get().RegisterCounter(
-      "bdi.linkage.matching.chunks");
-  return *counter;
-}
-
-metrics::Counter& ScratchReusesCounter() {
-  static metrics::Counter* counter = metrics::Registry::Get().RegisterCounter(
-      "bdi.linkage.matching.scratch_reuses");
-  return *counter;
-}
-
-metrics::Counter& PrefilterEvaluatedCounter() {
-  static metrics::Counter* counter = metrics::Registry::Get().RegisterCounter(
-      "bdi.linkage.matching.prefilter.evaluated");
-  return *counter;
-}
-
-metrics::Counter& PrefilterSkippedCounter() {
-  static metrics::Counter* counter = metrics::Registry::Get().RegisterCounter(
-      "bdi.linkage.matching.prefilter.skipped");
-  return *counter;
-}
-
-/// Gap between the prefilter's score bound and the true score, observed for
-/// every candidate that survived the prefilter (both values exist only
-/// there). Small gaps mean tight bounds; mass in the overflow bucket means
-/// the bound is too loose to prune near the threshold.
-metrics::Histogram& PrefilterBoundGapHistogram() {
-  static metrics::Histogram* histogram =
-      metrics::Registry::Get().RegisterHistogram(
-          "bdi.linkage.matching.prefilter.bound_gap",
-          {0.05, 0.1, 0.2, 0.3, 0.5, 1.0});
-  return *histogram;
-}
-
-/// Pairs per scored chunk: small enough that skewed blocks still balance
-/// across workers, large enough that one scratch warm-up amortizes over
-/// many pairs.
-constexpr size_t kMinScoreChunk = 64;
-
 }  // namespace
+
+std::unique_ptr<PairScorer> MakeScorer(ScorerKind kind, double threshold) {
+  std::unique_ptr<PairScorer> scorer;
+  switch (kind) {
+    case ScorerKind::kLinear:
+      scorer = std::make_unique<LinearScorer>();
+      break;
+    case ScorerKind::kRule:
+      scorer = std::make_unique<RuleScorer>();
+      break;
+    case ScorerKind::kLearned:
+      scorer = std::make_unique<LearnedScorer>();
+      break;
+  }
+  scorer->set_threshold(threshold);
+  return scorer;
+}
 
 Linker::Linker(const Dataset* dataset, const LinkerConfig& config,
                const schema::MediatedSchema* schema,
@@ -90,21 +64,8 @@ Linker::Linker(const Dataset* dataset, const LinkerConfig& config,
       config_(config),
       stats_(schema::AttributeStatistics::Compute(*dataset)),
       roles_(AttrRoles::Detect(stats_)),
-      extractor_(dataset, &roles_, schema, normalizer,
-                 config.num_threads) {
-  switch (config_.scorer) {
-    case ScorerKind::kLinear:
-      scorer_ = std::make_unique<LinearScorer>();
-      break;
-    case ScorerKind::kRule:
-      scorer_ = std::make_unique<RuleScorer>();
-      break;
-    case ScorerKind::kLearned:
-      scorer_ = std::make_unique<LearnedScorer>();
-      break;
-  }
-  scorer_->set_threshold(config_.threshold);
-}
+      extractor_(dataset, &roles_, schema, normalizer, config.num_threads),
+      scorer_(MakeScorer(config.scorer, config.threshold)) {}
 
 void Linker::SetScorer(std::unique_ptr<PairScorer> scorer) {
   scorer_ = std::move(scorer);
@@ -169,123 +130,33 @@ LinkageResult Linker::Run() {
   result.blocking_seconds = timer.ElapsedSeconds();
   result.num_candidates = candidates.size();
 
-  // 2. Pairwise matching: chunked scoring over the shared executor. Each
-  // claimed chunk owns one SimilarityScratch reused across its pairs, so
-  // the per-pair kernels never allocate; scores land in disjoint
-  // per-index slots, making the result identical for every thread count.
+  // 2. Pairwise matching through the bound-ranked scheduler
+  // (ScorePairsProgressive). Budget-deferred candidates stay unscored;
+  // unbudgeted, every slot is scored and the per-slot scores do not
+  // depend on the thread count.
   timer.Reset();
   {
     trace::StageSpan span("matching");
     span.AddItems(candidates.size());
     ComparisonsCounter().Add(candidates.size());
     std::vector<double> scores(candidates.size());
-    const bool prefilter = config_.use_prefilter;
-    const bool batch = config_.use_batch;
+    std::vector<uint8_t> scored(candidates.size(), 0);
+    ProgressiveStats stats = ScorePairsProgressive(
+        extractor_, *scorer_, candidates.data(), candidates.size(),
+        config_.comparison_budget, config_.budget_ms, config_.num_threads,
+        scores.data(), scored.data());
+    result.num_prefiltered = stats.num_skipped;
+    result.num_scheduled = stats.num_scheduled;
+    result.num_deferred = stats.num_deferred;
+    // Match iff score >= the scorer's own threshold:
+    // PairScorer::threshold() is authoritative.
     const double threshold = scorer_->threshold();
-    const bool metrics_on = metrics::Enabled();
-    if (config_.use_progressive || config_.comparison_budget > 0.0 ||
-        config_.budget_ms > 0.0) {
-      // Progressive path: rank every candidate by its score upper bound
-      // and spend the comparison budget on the highest-bound tiers first
-      // (ScorePairsProgressive). Budget-deferred candidates stay
-      // unscored; with the budget unlimited every slot is scored and the
-      // match set below is bitwise identical to the classic path.
-      std::vector<uint8_t> scored(candidates.size(), 0);
-      ProgressiveStats stats = ScorePairsProgressive(
-          extractor_, *scorer_, candidates.data(), candidates.size(),
-          config_.comparison_budget, config_.budget_ms, prefilter,
-          config_.num_threads, scores.data(), scored.data());
-      result.num_prefiltered = stats.num_skipped;
-      result.num_scheduled = stats.num_scheduled;
-      result.num_deferred = stats.num_deferred;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (scored[i] != 0 && scores[i] >= threshold) {
-          result.matches.push_back(ScoredPair{candidates[i], scores[i]});
-        }
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (scored[i] != 0 && scores[i] >= threshold) {
+        result.matches.push_back(ScoredPair{candidates[i], scores[i]});
       }
-      MatchesCounter().Add(result.matches.size());
-    } else {
-      std::atomic<size_t> prefiltered{0};
-      // Checked-out slabs parked between chunks: a worker claiming its next
-      // chunk reuses a slab whose scratch buffers and token-pair memos are
-      // already warm (scores never depend on slab state, so reuse cannot
-      // change results). The pool's mutex guards only the checkout/return,
-      // never the scoring.
-      SlabPool slab_pool;
-      ParallelForRanges(
-          candidates.size(),
-          [&](size_t begin, size_t end) {
-            if (batch) {
-              // Slab path: one structure-of-arrays slab per chunk — the
-              // vectorized bound pass sweeps every lane, then the full
-              // kernels run over the compacted survivors. Output slots are
-              // bitwise identical to the per-pair loop below.
-              SlabPool::Lease slab(slab_pool);
-              size_t skipped = ScoreCandidateSlab(
-                  extractor_, *scorer_, candidates.data() + begin,
-                  end - begin, prefilter, *slab, scores.data() + begin);
-              if (skipped > 0) {
-                prefiltered.fetch_add(skipped, std::memory_order_relaxed);
-              }
-              if (metrics_on) {
-                MatchChunksCounter().Add();
-                ScratchReusesCounter().Add(end - begin - 1);
-              }
-              return;
-            }
-            text::SimilarityScratch scratch;
-            size_t skipped = 0;
-            for (size_t i = begin; i < end; ++i) {
-              if (prefilter) {
-                // Tier 1: bound the achievable score from the interned
-                // evidence. A skip is sound — the bound is >= the true
-                // score, and the slack absorbs floating-point grouping
-                // differences — so a skipped pair can never be a match and
-                // the match set stays bitwise identical to the unfiltered
-                // path. The recorded score (the bound) is below threshold
-                // by construction.
-                double bound = scorer_->ScoreUpperBound(extractor_.ExtractBounds(
-                    candidates[i].a, candidates[i].b, scratch));
-                if (bound + kPrefilterSlack < threshold) {
-                  scores[i] = bound;
-                  ++skipped;
-                  continue;
-                }
-                // Tier 2: the full kernel stack.
-                scores[i] = scorer_->Score(extractor_.Extract(
-                    candidates[i].a, candidates[i].b, scratch));
-                if (metrics_on) {
-                  PrefilterBoundGapHistogram().Observe(bound - scores[i]);
-                }
-              } else {
-                scores[i] = scorer_->Score(extractor_.Extract(
-                    candidates[i].a, candidates[i].b, scratch));
-              }
-            }
-            if (skipped > 0) {
-              prefiltered.fetch_add(skipped, std::memory_order_relaxed);
-            }
-            if (metrics_on) {
-              MatchChunksCounter().Add();
-              ScratchReusesCounter().Add(end - begin - 1);
-              if (prefilter) {
-                PrefilterEvaluatedCounter().Add(end - begin);
-                PrefilterSkippedCounter().Add(skipped);
-              }
-            }
-          },
-          config_.num_threads, kMinScoreChunk);
-      result.num_prefiltered = prefiltered.load(std::memory_order_relaxed);
-      // Match iff score >= the scorer's own threshold:
-      // PairScorer::threshold() is authoritative (no per-kind
-      // re-hard-coding here).
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (scores[i] >= threshold) {
-          result.matches.push_back(ScoredPair{candidates[i], scores[i]});
-        }
-      }
-      MatchesCounter().Add(result.matches.size());
     }
+    MatchesCounter().Add(result.matches.size());
   }
   result.matching_seconds = timer.ElapsedSeconds();
   result.num_matches = result.matches.size();

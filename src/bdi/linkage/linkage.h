@@ -24,6 +24,11 @@ enum class BlockerKind {
 
 enum class ScorerKind { kLinear, kRule, kLearned };
 
+/// Builds a scorer of the given kind with its match threshold set to
+/// `threshold` (PairScorer::set_threshold). Linker and IncrementalLinker
+/// both build their scorer here, so one config yields one scorer.
+std::unique_ptr<PairScorer> MakeScorer(ScorerKind kind, double threshold);
+
 struct LinkerConfig {
   BlockerKind blocker = BlockerKind::kTokenPlusIdentifier;
   bool use_meta_blocking = false;
@@ -36,46 +41,25 @@ struct LinkerConfig {
   ClusteringMethod clustering = ClusteringMethod::kConnectedComponents;
   /// Threads for the pairwise matching stage; 0 = hardware concurrency.
   size_t num_threads = 0;
-  /// Comparison cascade: bound each candidate's achievable score from the
-  /// interned token evidence and skip the expensive kernels when the bound
-  /// cannot clear the scorer's threshold. The match set (pairs and scores)
-  /// is bitwise identical either way — the bounds are sound and a
-  /// kPrefilterSlack margin absorbs floating-point grouping differences —
-  /// so this stays on by default; the switch exists for the equivalence
-  /// tests and for A/B benchmarking.
-  bool use_prefilter = true;
-  /// Batched matching: each worker fills a structure-of-arrays candidate
-  /// slab for its chunk, runs the vectorized bound pass over every lane,
-  /// then the full kernels over the compacted survivors
-  /// (ScoreCandidateSlab in batch.h). Scores are bitwise identical to the
-  /// per-pair loop for every scorer and thread count; off reinstates the
-  /// per-pair reference path for the equivalence tests and A/B benches.
-  bool use_batch = true;
   /// Progressive comparison budget (ScorePairsProgressive in
   /// progressive.h): 0 = unlimited, a value in (0, 1) = fraction of the
   /// full-kernel comparisons the unbudgeted run would make, >= 1 = an
-  /// absolute comparison count. Any non-zero value routes matching
-  /// through the bound-ranked scheduler, which compares the
-  /// highest-bound candidates first and stops when the budget runs out —
-  /// so the match set at a small budget is a subset of the match set at a
-  /// larger one, and recall is anytime rather than all-or-nothing.
+  /// absolute comparison count. Matching always runs the bound-ranked
+  /// scheduler, which compares the highest-bound candidates first and
+  /// stops when the budget runs out — so the match set at a small budget
+  /// is a subset of the match set at a larger one, and recall is anytime
+  /// rather than all-or-nothing. Unlimited, every candidate whose bound
+  /// can clear the threshold gets the full kernels.
   double comparison_budget = 0.0;
   /// Wall-clock deadline for the pairwise matching stage, in milliseconds
-  /// (0 = none). Any positive value routes matching through the
-  /// progressive scheduler, which checks the deadline at every
-  /// scheduling-round boundary and defers the remaining comparisons when
-  /// it expires — the serving layer's per-batch latency bound. Composable
-  /// with `comparison_budget`: whichever limit is hit first stops the
-  /// run. Unlike a comparison budget, where the run stops depends on wall
-  /// time, so deadline-stopped match sets are reproducible in *form*
-  /// (a prefix of the deterministic schedule) but not in size.
+  /// (0 = none). The scheduler checks it at every scheduling-round
+  /// boundary and defers the remaining comparisons when it expires — the
+  /// serving layer's per-batch latency bound. Composable with
+  /// `comparison_budget`: whichever limit is hit first stops the run.
+  /// Unlike a comparison budget, where the run stops depends on wall
+  /// time, so deadline-stopped match sets are reproducible in *form* (a
+  /// prefix of the deterministic schedule) but not in size.
   double budget_ms = 0.0;
-  /// Forces the progressive scheduler even with an unlimited budget
-  /// (comparison_budget == 0). With no budget the scheduler's match set
-  /// is bitwise identical to the classic slab path — scheduling changes
-  /// comparison order, never scores — which is exactly what the
-  /// equivalence tests and bench gates pin with this switch.
-  bool use_progressive = false;
 };
 
 struct LinkageResult {
@@ -88,10 +72,10 @@ struct LinkageResult {
   size_t num_candidates = 0;
   size_t num_matches = 0;
   /// Candidates the prefilter rejected without running the full kernels
-  /// (0 when the cascade is off or the scorer declines to bound).
+  /// (their score upper bound could not reach the threshold).
   size_t num_prefiltered = 0;
-  /// Full-kernel comparisons the progressive scheduler executed (0 when
-  /// matching ran the classic path).
+  /// Full-kernel comparisons the scheduler executed (every prefilter
+  /// survivor when unbudgeted).
   size_t num_scheduled = 0;
   /// Prefilter survivors the progressive scheduler left uncompared
   /// because the comparison budget ran out (0 when unbudgeted).

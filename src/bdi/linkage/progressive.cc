@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "bdi/common/executor.h"
@@ -65,10 +67,6 @@ metrics::Histogram& MatchPositionHistogram() {
   return *histogram;
 }
 
-// Shared with the classic cascade (linkage.cc / batch.cc): same names
-// register the same instruments, so every matching path feeds one
-// prefilter surface.
-
 metrics::Counter& PrefilterEvaluatedCounter() {
   static metrics::Counter* counter = metrics::Registry::Get().RegisterCounter(
       "bdi.linkage.matching.prefilter.evaluated");
@@ -81,6 +79,10 @@ metrics::Counter& PrefilterSkippedCounter() {
   return *counter;
 }
 
+/// Gap between the prefilter's score bound and the true score, observed
+/// for every candidate the scheduler compared (both values exist only
+/// there). Small gaps mean tight bounds; mass in the overflow bucket
+/// means the bound is too loose to prune near the threshold.
 metrics::Histogram& PrefilterBoundGapHistogram() {
   static metrics::Histogram* histogram =
       metrics::Registry::Get().RegisterHistogram(
@@ -89,9 +91,50 @@ metrics::Histogram& PrefilterBoundGapHistogram() {
   return *histogram;
 }
 
-/// Same chunk floor as the classic matching loop (linkage.cc): small
-/// enough to balance skewed blocks, large enough to amortize slab warm-up.
+/// Pairs per parallel chunk: small enough that skewed blocks still
+/// balance across workers, large enough to amortize slab warm-up.
 constexpr size_t kMinScoreChunk = 64;
+
+/// Mutex-guarded checkout pool of CandidateSlabs shared by the workers of
+/// one scheduling run. A worker claiming its next chunk reuses a slab
+/// whose scratch buffers and token-pair memos are already warm (scores
+/// never depend on slab state, so reuse cannot change results). The mutex
+/// guards only the checkout and return, never the scoring.
+class SlabPool {
+ public:
+  /// RAII checkout: acquires a slab (reusing a returned one when
+  /// available) on construction, returns it on destruction.
+  class Lease {
+   public:
+    explicit Lease(SlabPool& pool) : pool_(pool), slab_(pool.Acquire()) {}
+    ~Lease() { pool_.Release(std::move(slab_)); }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    CandidateSlab& operator*() const { return *slab_; }
+    CandidateSlab* operator->() const { return slab_.get(); }
+
+   private:
+    SlabPool& pool_;
+    std::unique_ptr<CandidateSlab> slab_;
+  };
+
+ private:
+  std::unique_ptr<CandidateSlab> Acquire() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) return std::make_unique<CandidateSlab>();
+    std::unique_ptr<CandidateSlab> slab = std::move(free_.back());
+    free_.pop_back();
+    return slab;
+  }
+
+  void Release(std::unique_ptr<CandidateSlab> slab) {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(slab));
+  }
+
+  std::mutex mu_;
+  std::vector<std::unique_ptr<CandidateSlab>> free_;
+};
 
 }  // namespace
 
@@ -151,9 +194,8 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
                                        const PairScorer& scorer,
                                        const CandidatePair* pairs, size_t n,
                                        double comparison_budget,
-                                       double budget_ms, bool use_prefilter,
-                                       size_t num_threads, double* scores,
-                                       uint8_t* scored) {
+                                       double budget_ms, size_t num_threads,
+                                       double* scores, uint8_t* scored) {
   // The deadline clock starts at entry so the bound pass and scheduling
   // count against it — a serving batch's latency budget covers the whole
   // call, not just the kernel rounds.
@@ -164,16 +206,16 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
   const bool metrics_on = metrics::Enabled();
   SlabPool slab_pool;
 
-  // Pass 1 (parallel): cheap score upper bounds for every candidate. Each
-  // is a pure per-pair value written to its own slot, so chunking cannot
-  // affect the result.
-  std::vector<double> bounds(n);
+  // Pass 1 (parallel): cheap score upper bounds for every candidate,
+  // staged in `scores` until pass 3 overwrites a compared pair's slot with
+  // its true score. Each is a pure per-pair value written to its own
+  // slot, so chunking cannot affect the result.
   ParallelForRanges(
       n,
       [&](size_t begin, size_t end) {
         SlabPool::Lease slab(slab_pool);
         BoundCandidateSlab(extractor, scorer, pairs + begin, end - begin,
-                           *slab, bounds.data() + begin);
+                           *slab, scores + begin);
       },
       num_threads, kMinScoreChunk);
 
@@ -189,14 +231,15 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
   // every thread count, and a budget always cuts a *prefix* of it — which
   // is what makes the match set at budget B a subset of the match set at
   // any larger budget.
-  auto bucket_of = [&](size_t i) { return ProgressiveTierOf(bounds[i]); };
+  auto bucket_of = [&](size_t i) { return ProgressiveTierOf(scores[i]); };
   std::vector<uint32_t> bucket_counts(kProgressiveTiers, 0);
   for (size_t i = 0; i < n; ++i) {
-    if (use_prefilter && bounds[i] + kPrefilterSlack < threshold) {
-      // The cascade's skip rule: the bound is sound, so this pair can
-      // never match; record the bound (below threshold by construction).
-      scores[i] = bounds[i];
-      scored[i] = 1;
+    // The prefilter: the bound is sound (>= the true score, and the slack
+    // absorbs floating-point grouping differences), so a pair below it
+    // can never match; its slot keeps the bound (below threshold by
+    // construction) and the full kernels never run.
+    scored[i] = scores[i] + kPrefilterSlack < threshold ? 1 : 0;
+    if (scored[i] != 0) {
       ++stats.num_skipped;
     } else {
       ++bucket_counts[bucket_of(i)];
@@ -212,7 +255,7 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
   }
   std::vector<uint32_t> schedule(stats.num_survivors);
   for (size_t i = 0; i < n; ++i) {
-    if (use_prefilter && bounds[i] + kPrefilterSlack < threshold) continue;
+    if (scored[i] != 0) continue;
     schedule[bucket_offsets[bucket_of(i)]++] = static_cast<uint32_t>(i);
   }
 
@@ -221,8 +264,8 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
 
   // Helper shared by both pass-3 shapes: full kernels over
   // schedule[begin..end), gathered into slab staging and scattered back
-  // to the pairs' original slots. Every score is the same bits the
-  // classic slab path produces for that pair.
+  // to the pairs' original slots. Every score is the same bits a
+  // per-pair Extract + Score produces for that pair.
   auto score_range = [&](size_t begin, size_t end) {
     SlabPool::Lease slab(slab_pool);
     size_t m = end - begin;
@@ -231,11 +274,14 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
     for (size_t k = 0; k < m; ++k) {
       slab->gather[k] = pairs[schedule[begin + k]];
     }
-    ScoreCandidateSlab(extractor, scorer, slab->gather.data(), m,
-                       /*use_prefilter=*/false, *slab,
+    ScoreCandidateSlab(extractor, scorer, slab->gather.data(), m, *slab,
                        slab->gather_scores.data());
     for (size_t k = 0; k < m; ++k) {
       size_t lane = schedule[begin + k];
+      if (metrics_on) {
+        PrefilterBoundGapHistogram().Observe(scores[lane] -
+                                             slab->gather_scores[k]);
+      }
       scores[lane] = slab->gather_scores[k];
       scored[lane] = 1;
     }
@@ -244,7 +290,7 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
   if (stats.budget >= stats.num_survivors && budget_ms <= 0.0) {
     // Pass 3, unbudgeted: every survivor gets its full kernels, one
     // parallel sweep. Order is irrelevant to the output — all slots are
-    // scored — so this is bitwise identical to the classic path.
+    // scored — so the result does not depend on the thread count.
     ParallelForRanges(stats.num_survivors, score_range, num_threads,
                       kMinScoreChunk);
     stats.num_scheduled = stats.num_survivors;
@@ -344,9 +390,6 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
             static_cast<double>(stats.num_scheduled));
       }
     }
-    if (metrics_on && use_prefilter) {
-      PrefilterBoundGapHistogram().Observe(bounds[lane] - scores[lane]);
-    }
   }
 
   if (metrics_on) {
@@ -356,10 +399,8 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
     if (stats.deadline_stopped) DeadlineStoppedCounter().Add();
     MatchesFoundCounter().Add(stats.num_matches);
     ClosurePrunedCounter().Add(stats.num_closure_pruned);
-    if (use_prefilter) {
-      PrefilterEvaluatedCounter().Add(n);
-      PrefilterSkippedCounter().Add(stats.num_skipped);
-    }
+    PrefilterEvaluatedCounter().Add(n);
+    PrefilterSkippedCounter().Add(stats.num_skipped);
   }
   return stats;
 }

@@ -13,15 +13,19 @@ namespace bdi::linkage {
 
 /// Bound-ranked comparison scheduling: the progressive (pay-as-you-go)
 /// matching stage. Every candidate pair gets a cheap score upper bound
-/// from the interned token evidence (the PR 4/6 cascade machinery); the
+/// from the interned token evidence (BoundCandidateSlab in batch.h); the
 /// pairs that could clear the scorer's threshold are then compared in
 /// deterministic bound-descending tiers until a comparison budget runs
 /// out. Early comparisons concentrate on the highest-value pairs, so the
 /// match set grows steeply at first and quality is *anytime*: stopping at
 /// a fraction of the comparisons keeps most of the recall (the
-/// recall-vs-comparisons curve in BENCH_linkage_quality.json). With the
-/// budget unlimited, the scheduler's match set is bitwise identical to
-/// the classic slab path — scheduling changes order, never scores.
+/// recall-vs-comparisons curve in BENCH_linkage_quality.json). This is
+/// the only matcher: Linker and IncrementalLinker call it on every run.
+/// With the budget unlimited, every pair whose bound can reach the
+/// threshold is compared, and the match set is bitwise the one a per-pair
+/// Extract + Score loop over all candidates finds (the reference matcher
+/// the equivalence tests compare against) — scheduling changes order,
+/// never scores.
 
 /// Number of quantized scorer-bound tiers the scheduler sorts survivors
 /// into. Within a tier, pairs keep candidate order — deliberately: the
@@ -80,11 +84,10 @@ Result<double> ParseComparisonBudget(const std::string& spec);
 /// same numbers feed the bdi.linkage.progressive.* metrics).
 struct ProgressiveStats {
   /// Candidates whose score upper bound could not reach the threshold —
-  /// rejected without the full kernels, exactly like the classic cascade
-  /// (0 when the prefilter is off).
+  /// rejected without the full kernels (the prefilter).
   size_t num_skipped = 0;
   /// Candidates that survived the bound pass and were eligible for full
-  /// comparison (all candidates when the prefilter is off).
+  /// comparison.
   size_t num_survivors = 0;
   /// Distinct non-empty scheduling tiers the survivors occupied (a tier
   /// is a quantized scorer-bound bucket; more occupied tiers = finer
@@ -116,16 +119,18 @@ struct ProgressiveStats {
 /// per pair into `scores[0..n)` and sets `scored[i]` to 1 when that slot
 /// is authoritative: prefilter-skipped pairs record their bound (below
 /// threshold by construction) and scheduled pairs record their true
-/// kernel score. Budget-deferred and closure-pruned pairs keep
-/// `scored[i] == 0` (their score slot is untouched — the caller must not
-/// read it); a closure-pruned pair's endpoints are already connected by
+/// kernel score. Budget-deferred and closure-pruned pairs get
+/// `scored[i] == 0` (their score slot holds no score — the caller must
+/// not read it); a closure-pruned pair's endpoints are already connected by
 /// found matches, so dropping it cannot change the transitive
 /// clustering. Matches are the scored slots at or above the scorer's
 /// threshold; with an unlimited budget every slot is scored, nothing is
-/// pruned, and the result is bitwise identical to ScoreCandidateSlab
-/// over the same pairs, for every scorer, thread count, and SIMD
-/// dispatch level. Under any budget the scored set — and so the match
-/// set — is a subset of the scored set at every larger budget.
+/// pruned, and the match slots are bitwise the per-pair
+/// `scorer.Score(extractor.Extract(...))` values, for every scorer,
+/// thread count, and SIMD dispatch level (the bound is sound, so a
+/// skipped pair could never have matched). Under any budget the scored
+/// set — and so the match set — is a subset of the scored set at every
+/// larger budget.
 /// `comparison_budget` follows the ResolveComparisonBudget encoding;
 /// `budget_ms` (0 = no deadline) is a wall-clock deadline measured from
 /// entry and checked at every scheduling-round boundary — when it
@@ -133,17 +138,15 @@ struct ProgressiveStats {
 /// comparison budget had cut the schedule there, so a deadline-stopped
 /// match set is always *some* prefix of the deterministic schedule
 /// (which comparisons ran depends on wall time, but never their scores);
-/// `use_prefilter` keeps the cascade's skip rule (off = every pair is a
-/// survivor, bounds are used for ordering only); `num_threads` bounds
+/// `num_threads` bounds
 /// the parallel bound and kernel passes (0 = shared executor pool, 1 =
 /// serial) — the output is identical for every value.
 ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
                                        const PairScorer& scorer,
                                        const CandidatePair* pairs, size_t n,
                                        double comparison_budget,
-                                       double budget_ms, bool use_prefilter,
-                                       size_t num_threads, double* scores,
-                                       uint8_t* scored);
+                                       double budget_ms, size_t num_threads,
+                                       double* scores, uint8_t* scored);
 
 }  // namespace bdi::linkage
 

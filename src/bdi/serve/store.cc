@@ -222,8 +222,6 @@ Result<std::unique_ptr<EntityStore>> EntityStore::Create(
   // latency, not initial build fidelity.
   integrator_config.linker.scorer = config.integrator.linker.scorer;
   integrator_config.linker.threshold = config.integrator.linker.threshold;
-  integrator_config.linker.use_prefilter =
-      config.integrator.linker.use_prefilter;
   store->integrator_ = std::make_unique<core::IncrementalIntegrator>(
       &store->dataset_, integrator_config);
   store->integrator_->Refresh();

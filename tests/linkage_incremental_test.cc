@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bdi/synth/world.h"
 
 namespace bdi::linkage {
@@ -67,6 +71,48 @@ TEST(IncrementalLinkerTest, IncrementalInsertsMatchNewRecords) {
       EvaluateClusters(linker.Clusters().label_of_record, truth);
   EXPECT_GE(quality.precision, 0.85);
   EXPECT_GE(quality.recall, 0.65);
+}
+
+// last_progressive() describes the latest batch, budgeted or not: an
+// unbudgeted batch after a budget-stopped one must not report the earlier
+// batch's stats.
+TEST(IncrementalLinkerTest, UnbudgetedBatchReportsItsOwnSchedulerStats) {
+  synth::WorldConfig config;
+  config.seed = 53;
+  config.num_entities = 100;
+  config.num_sources = 8;
+  synth::SyntheticWorld full = synth::GenerateWorld(config);
+  Dataset dataset;
+  for (const SourceInfo& source : full.dataset.sources()) {
+    dataset.AddSource(source.name);
+  }
+  auto copy_records = [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      const Record& record = full.dataset.record(static_cast<RecordIdx>(r));
+      std::vector<std::pair<std::string, std::string>> fields;
+      for (const Field& field : record.fields) {
+        fields.emplace_back(full.dataset.attr_name(field.attr), field.value);
+      }
+      dataset.AddRecord(record.source, fields);
+    }
+  };
+  size_t initial = full.dataset.num_records() * 2 / 3;
+  copy_records(0, initial);
+
+  IncrementalLinker::Config linker_config;
+  linker_config.comparison_budget = 0.1;
+  IncrementalLinker linker(&dataset, linker_config);
+  linker.AddNewRecords();
+  ASSERT_TRUE(linker.last_progressive().budget_stopped);
+
+  linker.set_comparison_budget(0.0);
+  copy_records(initial, full.dataset.num_records());
+  size_t comparisons = linker.AddNewRecords();
+  const ProgressiveStats& stats = linker.last_progressive();
+  EXPECT_FALSE(stats.budget_stopped);
+  EXPECT_EQ(stats.num_deferred, 0u);
+  EXPECT_EQ(stats.num_scheduled, stats.num_survivors);
+  EXPECT_EQ(stats.num_survivors + stats.num_skipped, comparisons);
 }
 
 TEST(IncrementalLinkerTest, AddNewRecordsIdempotentWhenNothingNew) {

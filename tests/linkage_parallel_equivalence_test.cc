@@ -1,5 +1,5 @@
 // Serial-vs-parallel equivalence for the linkage pipeline: the chunked
-// matching stage writes each candidate's score into its own slot, so any
+// matching passes write each candidate's score into its own slot, so any
 // thread count must produce the identical match list (same pairs, bitwise
 // equal scores) and identical clustering — the linkage counterpart of the
 // fusion determinism contract.
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "bdi/synth/world.h"
+#include "linkage_reference_matcher.h"
 
 namespace bdi::linkage {
 namespace {
@@ -18,29 +19,6 @@ synth::SyntheticWorld MakeWorld() {
   config.num_entities = 200;
   config.num_sources = 14;
   return synth::GenerateWorld(config);
-}
-
-void ExpectEquivalent(const LinkageResult& serial,
-                      const LinkageResult& parallel) {
-  EXPECT_EQ(serial.num_candidates, parallel.num_candidates);
-  ASSERT_EQ(serial.matches.size(), parallel.matches.size());
-  for (size_t i = 0; i < serial.matches.size(); ++i) {
-    EXPECT_EQ(serial.matches[i].pair.a, parallel.matches[i].pair.a)
-        << "match " << i;
-    EXPECT_EQ(serial.matches[i].pair.b, parallel.matches[i].pair.b)
-        << "match " << i;
-    // Bitwise equality, not near-equality: the scratch kernels and the
-    // chunked schedule are required to preserve the exact arithmetic.
-    EXPECT_EQ(serial.matches[i].score, parallel.matches[i].score)
-        << "match " << i;
-  }
-  ASSERT_EQ(serial.clusters.label_of_record.size(),
-            parallel.clusters.label_of_record.size());
-  for (size_t r = 0; r < serial.clusters.label_of_record.size(); ++r) {
-    EXPECT_EQ(serial.clusters.label_of_record[r],
-              parallel.clusters.label_of_record[r])
-        << "record " << r;
-  }
 }
 
 LinkageResult RunWith(const synth::SyntheticWorld& world, ScorerKind scorer,
@@ -54,14 +32,14 @@ LinkageResult RunWith(const synth::SyntheticWorld& world, ScorerKind scorer,
 
 TEST(LinkageParallelEquivalenceTest, RuleScorerMatchesSerial) {
   synth::SyntheticWorld world = MakeWorld();
-  ExpectEquivalent(RunWith(world, ScorerKind::kRule, 1),
-                   RunWith(world, ScorerKind::kRule, 8));
+  ExpectSameLinkage(RunWith(world, ScorerKind::kRule, 1),
+                    RunWith(world, ScorerKind::kRule, 8));
 }
 
 TEST(LinkageParallelEquivalenceTest, LinearScorerMatchesSerial) {
   synth::SyntheticWorld world = MakeWorld();
-  ExpectEquivalent(RunWith(world, ScorerKind::kLinear, 1),
-                   RunWith(world, ScorerKind::kLinear, 8));
+  ExpectSameLinkage(RunWith(world, ScorerKind::kLinear, 1),
+                    RunWith(world, ScorerKind::kLinear, 8));
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Equivalence contract for the matcher's comparison cascade: the
 // prefilter may only skip pairs whose true score provably cannot reach
-// the threshold, so running with the prefilter on must produce the
+// the threshold, so a Linker run must produce the reference matcher's
 // bitwise-identical match list (same pairs, bitwise equal scores) and
-// identical clustering as the unfiltered path — serial and parallel.
-// Named *ParallelEquivalence* so the tsan/asan equivalence ctest presets
-// pick it up.
+// identical clustering — the reference scores every candidate with the
+// full kernels and no prefilter (linkage_reference_matcher.h) — serial
+// and parallel. Named *ParallelEquivalence* so the tsan/asan equivalence
+// ctest presets pick it up.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -15,6 +16,7 @@
 #include "bdi/synth/world.h"
 #include "bdi/text/interner.h"
 #include "bdi/text/similarity.h"
+#include "linkage_reference_matcher.h"
 
 namespace bdi::linkage {
 namespace {
@@ -27,63 +29,33 @@ synth::SyntheticWorld MakeWorld() {
   return synth::GenerateWorld(config);
 }
 
-void ExpectEquivalent(const LinkageResult& unfiltered,
-                      const LinkageResult& cascaded) {
-  EXPECT_EQ(unfiltered.num_candidates, cascaded.num_candidates);
-  ASSERT_EQ(unfiltered.matches.size(), cascaded.matches.size());
-  for (size_t i = 0; i < unfiltered.matches.size(); ++i) {
-    EXPECT_EQ(unfiltered.matches[i].pair.a, cascaded.matches[i].pair.a)
-        << "match " << i;
-    EXPECT_EQ(unfiltered.matches[i].pair.b, cascaded.matches[i].pair.b)
-        << "match " << i;
-    // Bitwise equality: a surviving pair runs the exact same kernels in
-    // the exact same order as the unfiltered path.
-    EXPECT_EQ(unfiltered.matches[i].score, cascaded.matches[i].score)
-        << "match " << i;
-  }
-  ASSERT_EQ(unfiltered.clusters.label_of_record.size(),
-            cascaded.clusters.label_of_record.size());
-  for (size_t r = 0; r < unfiltered.clusters.label_of_record.size(); ++r) {
-    EXPECT_EQ(unfiltered.clusters.label_of_record[r],
-              cascaded.clusters.label_of_record[r])
-        << "record " << r;
-  }
-}
-
 LinkageResult RunWith(const synth::SyntheticWorld& world, ScorerKind scorer,
-                      size_t num_threads, bool use_prefilter) {
+                      size_t num_threads) {
   LinkerConfig config;
   config.scorer = scorer;
   config.num_threads = num_threads;
-  config.use_prefilter = use_prefilter;
-  Linker linker(&world.dataset, config);
-  return linker.Run();
+  return RunAgainstReference(world.dataset, config);
 }
 
 TEST(LinkagePrefilterParallelEquivalenceTest, RuleScorerSerial) {
   synth::SyntheticWorld world = MakeWorld();
-  LinkageResult off = RunWith(world, ScorerKind::kRule, 1, false);
-  LinkageResult on = RunWith(world, ScorerKind::kRule, 1, true);
-  EXPECT_EQ(off.num_prefiltered, 0u);
-  ExpectEquivalent(off, on);
+  // The equality is only meaningful if the prefilter actually skipped.
+  EXPECT_GT(RunWith(world, ScorerKind::kRule, 1).num_prefiltered, 0u);
 }
 
 TEST(LinkagePrefilterParallelEquivalenceTest, RuleScorerParallel) {
   synth::SyntheticWorld world = MakeWorld();
-  ExpectEquivalent(RunWith(world, ScorerKind::kRule, 1, false),
-                   RunWith(world, ScorerKind::kRule, 8, true));
+  RunWith(world, ScorerKind::kRule, 8);
 }
 
 TEST(LinkagePrefilterParallelEquivalenceTest, LinearScorerSerial) {
   synth::SyntheticWorld world = MakeWorld();
-  ExpectEquivalent(RunWith(world, ScorerKind::kLinear, 1, false),
-                   RunWith(world, ScorerKind::kLinear, 1, true));
+  EXPECT_GT(RunWith(world, ScorerKind::kLinear, 1).num_prefiltered, 0u);
 }
 
 TEST(LinkagePrefilterParallelEquivalenceTest, LinearScorerParallel) {
   synth::SyntheticWorld world = MakeWorld();
-  ExpectEquivalent(RunWith(world, ScorerKind::kLinear, 1, false),
-                   RunWith(world, ScorerKind::kLinear, 8, true));
+  RunWith(world, ScorerKind::kLinear, 8);
 }
 
 // Every candidate the prefilter would skip must truly score below the

@@ -1,19 +1,21 @@
 // Contracts of the progressive (budget-aware) matching scheduler:
-// with the budget unlimited it must reproduce the slab path's bits for
-// every scorer and thread count; under any budget its match set must be a
-// deterministic subset that only grows with the budget; and the anytime
-// recall curve must be non-decreasing in comparisons spent. Named
-// *ParallelEquivalence* so the tsan/asan equivalence ctest presets pick
-// it up.
+// with the budget unlimited, however it is spelled, it must reproduce the
+// reference matcher's bits (linkage_reference_matcher.h); under any
+// budget its match set must be a deterministic subset that only grows
+// with the budget; and the anytime recall curve must be non-decreasing
+// in comparisons spent. Named *ParallelEquivalence* so the tsan/asan
+// equivalence ctest presets pick it up.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bdi/linkage/linkage.h"
 #include "bdi/linkage/progressive.h"
 #include "bdi/synth/world.h"
+#include "linkage_reference_matcher.h"
 
 namespace bdi::linkage {
 namespace {
@@ -26,48 +28,36 @@ synth::SyntheticWorld MakeWorld() {
   return synth::GenerateWorld(config);
 }
 
-void ExpectSameResult(const LinkageResult& x, const LinkageResult& y) {
-  EXPECT_EQ(x.num_candidates, y.num_candidates);
-  ASSERT_EQ(x.matches.size(), y.matches.size());
-  for (size_t i = 0; i < x.matches.size(); ++i) {
-    EXPECT_EQ(x.matches[i].pair.a, y.matches[i].pair.a) << "match " << i;
-    EXPECT_EQ(x.matches[i].pair.b, y.matches[i].pair.b) << "match " << i;
-    EXPECT_EQ(x.matches[i].score, y.matches[i].score) << "match " << i;
-  }
-  ASSERT_EQ(x.clusters.label_of_record.size(),
-            y.clusters.label_of_record.size());
-  for (size_t r = 0; r < x.clusters.label_of_record.size(); ++r) {
-    EXPECT_EQ(x.clusters.label_of_record[r], y.clusters.label_of_record[r])
-        << "record " << r;
-  }
-}
-
 LinkageResult RunProgressive(const synth::SyntheticWorld& world,
                              ScorerKind scorer, size_t num_threads,
                              double budget) {
   LinkerConfig config;
   config.scorer = scorer;
   config.num_threads = num_threads;
-  config.use_progressive = true;
   config.comparison_budget = budget;
   Linker linker(&world.dataset, config);
   return linker.Run();
 }
 
-// Unlimited budget: the scheduler reorders comparisons but every pair is
-// still scored, so the result must be bitwise the slab path's — for all
-// three scorers, serial and with the slab pool exercised by 8 threads.
+// Unlimited budget: the scheduler reorders comparisons but every
+// prefilter survivor is still scored, so the result must be bitwise the
+// reference matcher's — for every spelling of "unlimited" (0, "100%", an
+// absolute count at least the survivor count), serial and with the slab
+// pool exercised by 8 threads.
 TEST(LinkageProgressiveParallelEquivalenceTest, UnlimitedMatchesSlabPath) {
   synth::SyntheticWorld world = MakeWorld();
-  for (ScorerKind kind :
-       {ScorerKind::kRule, ScorerKind::kLinear, ScorerKind::kLearned}) {
-    LinkerConfig config;
-    config.scorer = kind;
-    config.num_threads = 1;
-    Linker linker(&world.dataset, config);
-    LinkageResult slab = linker.Run();
-    ExpectSameResult(slab, RunProgressive(world, kind, 1, 0.0));
-    ExpectSameResult(slab, RunProgressive(world, kind, 8, 0.0));
+  for (double budget : {0.0, ParseComparisonBudget("100%").value(), 1e12}) {
+    for (size_t threads : {1u, 8u}) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + ", " +
+                   std::to_string(threads) + " threads");
+      LinkerConfig config;
+      config.num_threads = threads;
+      config.comparison_budget = budget;
+      LinkageResult result = RunAgainstReference(world.dataset, config);
+      EXPECT_EQ(result.num_deferred, 0u);
+      EXPECT_EQ(result.num_scheduled,
+                result.num_candidates - result.num_prefiltered);
+    }
   }
 }
 
@@ -79,10 +69,10 @@ TEST(LinkageProgressiveParallelEquivalenceTest, BudgetedDeterministicAcrossThrea
   for (double budget : {0.25, 0.6}) {
     LinkageResult serial =
         RunProgressive(world, ScorerKind::kRule, 1, budget);
-    ExpectSameResult(serial,
-                     RunProgressive(world, ScorerKind::kRule, 2, budget));
-    ExpectSameResult(serial,
-                     RunProgressive(world, ScorerKind::kRule, 8, budget));
+    ExpectSameLinkage(serial,
+                      RunProgressive(world, ScorerKind::kRule, 2, budget));
+    ExpectSameLinkage(serial,
+                      RunProgressive(world, ScorerKind::kRule, 8, budget));
   }
 }
 

@@ -1,21 +1,25 @@
 // Bitwise-equivalence contract for the SIMD-batched matching path: every
 // vector dispatch level of the signature bound kernels must produce
 // exactly the scalar path's bits, and the batch APIs (ExtractBatch /
-// ExtractBoundsBatch / ScoreBatch / ScoreUpperBoundBatch, and the
-// Linker's slab path) must produce exactly the single-pair path's bits —
-// for all three scorers, serial and parallel. Named *ParallelEquivalence*
-// so the tsan/asan equivalence ctest presets pick it up.
+// ExtractBoundsBatch / ScoreBatch / ScoreUpperBoundBatch, the slab pass,
+// and whole Linker runs) must produce exactly the single-pair path's
+// bits — for all three scorers, serial and parallel. Named
+// *ParallelEquivalence* so the tsan/asan equivalence ctest presets pick
+// it up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bdi/common/cpu.h"
+#include "bdi/linkage/batch.h"
 #include "bdi/linkage/linkage.h"
 #include "bdi/synth/world.h"
 #include "bdi/text/interner.h"
 #include "bdi/text/similarity.h"
+#include "linkage_reference_matcher.h"
 
 namespace bdi::linkage {
 namespace {
@@ -181,55 +185,68 @@ TEST(LinkageSimdParallelEquivalenceTest, BatchExtractionMatchesSinglePair) {
   }
 }
 
-void ExpectSameResult(const LinkageResult& x, const LinkageResult& y) {
-  EXPECT_EQ(x.num_candidates, y.num_candidates);
-  ASSERT_EQ(x.matches.size(), y.matches.size());
-  for (size_t i = 0; i < x.matches.size(); ++i) {
-    EXPECT_EQ(x.matches[i].pair.a, y.matches[i].pair.a) << "match " << i;
-    EXPECT_EQ(x.matches[i].pair.b, y.matches[i].pair.b) << "match " << i;
-    EXPECT_EQ(x.matches[i].score, y.matches[i].score) << "match " << i;
-  }
-  ASSERT_EQ(x.clusters.label_of_record.size(),
-            y.clusters.label_of_record.size());
-  for (size_t r = 0; r < x.clusters.label_of_record.size(); ++r) {
-    EXPECT_EQ(x.clusters.label_of_record[r], y.clusters.label_of_record[r])
-        << "record " << r;
-  }
-}
-
-LinkageResult RunWith(const synth::SyntheticWorld& world, ScorerKind scorer,
-                      size_t num_threads, bool use_batch) {
-  LinkerConfig config;
-  config.scorer = scorer;
-  config.num_threads = num_threads;
-  config.use_batch = use_batch;
-  Linker linker(&world.dataset, config);
-  return linker.Run();
-}
-
-// The slab path must produce the per-pair path's exact result for every
-// scorer — serial, and with the slab pool exercised by 8 threads.
+// The slab scoring pass must write, slot for slot, the per-pair
+// Extract + Score bits for every scorer — across tile boundaries and with
+// one slab reused between calls of different sizes (warm scratch and
+// memos must never leak into a score).
 TEST(LinkageSimdParallelEquivalenceTest, SlabPathMatchesPerPair) {
   synth::SyntheticWorld world = MakeWorld();
-  for (ScorerKind kind :
-       {ScorerKind::kRule, ScorerKind::kLinear, ScorerKind::kLearned}) {
-    LinkageResult per_pair = RunWith(world, kind, 1, false);
-    ExpectSameResult(per_pair, RunWith(world, kind, 1, true));
-    ExpectSameResult(per_pair, RunWith(world, kind, 8, true));
+  Linker linker(&world.dataset, {});
+  linker.Run();
+  const FeatureExtractor& extractor = linker.extractor();
+  const std::vector<CandidatePair>& candidates = linker.last_candidates();
+  // Past one 1024-lane tile, ending mid-tile.
+  size_t n = std::min<size_t>(candidates.size(), 2500);
+  ASSERT_GT(n, 1024u);
+  LinearScorer linear;
+  RuleScorer rule;
+  LearnedScorer learned;
+  const PairScorer* scorers[] = {&linear, &rule, &learned};
+  CandidateSlab slab;
+  text::SimilarityScratch scratch;
+  for (const PairScorer* scorer : scorers) {
+    std::vector<double> scores(n);
+    size_t head = n / 3;
+    ScoreCandidateSlab(extractor, *scorer, candidates.data(), head, slab,
+                       scores.data());
+    ScoreCandidateSlab(extractor, *scorer, candidates.data() + head,
+                       n - head, slab, scores.data() + head);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(scores[i],
+                scorer->Score(extractor.Extract(candidates[i].a,
+                                                candidates[i].b, scratch)))
+          << scorer->name() << " lane " << i;
+    }
   }
 }
 
-// End-to-end dispatch-level equivalence: a full linkage run pinned to
-// scalar must equal the run at the detected level (the whole pipeline,
-// not just the kernels, is dispatch-invariant).
+// End-to-end: for every scorer, serial and with 8 threads, a full linkage
+// run at every dispatch level must equal the reference matcher's result
+// computed at the scalar level — the whole pipeline, not just the
+// kernels, is dispatch-invariant and agrees with the per-pair loop.
 TEST(LinkageSimdParallelEquivalenceTest, LinkageRunBitwiseAcrossLevels) {
   SimdLevelGuard guard;
   synth::SyntheticWorld world = MakeWorld();
-  cpu::SetSimdLevel(cpu::SimdLevel::kScalar);
-  LinkageResult scalar = RunWith(world, ScorerKind::kRule, 1, true);
-  for (cpu::SimdLevel level : SupportedLevels()) {
-    cpu::SetSimdLevel(level);
-    ExpectSameResult(scalar, RunWith(world, ScorerKind::kRule, 1, true));
+  for (ScorerKind kind :
+       {ScorerKind::kRule, ScorerKind::kLinear, ScorerKind::kLearned}) {
+    LinkerConfig config;
+    config.scorer = kind;
+    cpu::SetSimdLevel(cpu::SimdLevel::kScalar);
+    Linker reference_linker(&world.dataset, config);
+    reference_linker.Run();
+    LinkageResult reference =
+        ReferenceMatch(reference_linker, world.dataset.num_records());
+    for (cpu::SimdLevel level : SupportedLevels()) {
+      cpu::SetSimdLevel(level);
+      for (size_t threads : {1u, 8u}) {
+        SCOPED_TRACE(std::string(cpu::SimdLevelName(level)) + ", " +
+                     std::to_string(threads) + " threads, scorer " +
+                     reference_linker.scorer().name());
+        config.num_threads = threads;
+        Linker linker(&world.dataset, config);
+        ExpectSameLinkage(reference, linker.Run());
+      }
+    }
   }
 }
 
