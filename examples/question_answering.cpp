@@ -4,7 +4,7 @@
 // is. One of the applications the tutorial's introduction motivates.
 #include <cstdio>
 
-#include "bdi/core/query.h"
+#include "bdi/serve/snapshot.h"
 #include "bdi/synth/world.h"
 
 int main() {
@@ -20,7 +20,8 @@ int main() {
 
   core::Integrator integrator;
   core::IntegrationReport report = integrator.Run(world.dataset);
-  core::QueryEngine engine(&report, &world.dataset);
+  // Answers come from the same snapshot `bdi serve` queries, on 1 shard.
+  auto snapshot = serve::Snapshot::Build(report, world.dataset, 1, 1, 1);
   std::printf("%s\n\n", report.Summary().c_str());
 
   // Ask about the three best-covered products.
@@ -39,7 +40,7 @@ int main() {
     }
     std::printf("Q: tell me about \"%s\"\n", name.c_str());
     for (const char* question : questions) {
-      core::Answer answer = engine.Ask(question, name);
+      serve::AskAnswer answer = snapshot->Ask(question, name);
       if (!answer.found()) {
         std::printf("   %-10s (no answer)\n", question);
         continue;
@@ -64,12 +65,12 @@ int main() {
       break;
     }
   }
-  core::Answer answer = engine.Ask("impedance", name);
+  serve::AskAnswer answer = snapshot->Ask("impedance", name);
   if (answer.found()) {
     std::printf("provenance for impedance of \"%s\" -> %s:\n", name.c_str(),
                 answer.value.c_str());
     for (const auto& support : answer.support) {
-      std::printf("   %-24s said %-14s %s\n", support.source_name.c_str(),
+      std::printf("   %-24s said %-14s %s\n", support.source.c_str(),
                   support.value.c_str(),
                   support.agrees ? "(agrees)" : "(dissents)");
     }

@@ -35,6 +35,20 @@ metrics::Counter& StolenCounter() {
   return *counter;
 }
 
+// Queue instruments: helper tasks submitted to the workers, and the
+// deepest the task queue has been.
+metrics::Counter& TasksCounter() {
+  static metrics::Counter* counter =
+      metrics::Registry::Get().RegisterCounter("bdi.executor.tasks.submitted");
+  return *counter;
+}
+
+metrics::Gauge& QueueDepthGauge() {
+  static metrics::Gauge* gauge =
+      metrics::Registry::Get().RegisterGauge("bdi.executor.queue.depth");
+  return *gauge;
+}
+
 /// True while the current thread is executing a parallel-loop body; nested
 /// loops then degrade to inline serial execution (see class comment).
 thread_local bool tls_in_parallel_region = false;
@@ -66,8 +80,56 @@ void SerialRanges(size_t n, const std::function<void(size_t, size_t)>& fn) {
 
 }  // namespace
 
-Executor::Executor(size_t num_threads)
-    : pool_(std::make_unique<ThreadPool>(num_threads)) {}
+Executor::Executor(size_t num_threads) {
+  num_threads = std::max<size_t>(1, num_threads);
+  threads_.reserve(num_threads);
+  for (size_t i = 0; i < num_threads; ++i) {
+    threads_.emplace_back([this] { WorkerLoop(); });
+  }
+}
+
+Executor::~Executor() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutting_down_ = true;
+  }
+  cv_.notify_all();
+  for (std::thread& t : threads_) {
+    t.join();
+  }
+}
+
+std::future<void> Executor::Submit(std::function<void()> fn) {
+  std::packaged_task<void()> task(std::move(fn));
+  std::future<void> future = task.get_future();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
+    if (metrics::Enabled()) {
+      TasksCounter().Add();
+      QueueDepthGauge().SetMax(static_cast<int64_t>(queue_.size()));
+    }
+  }
+  cv_.notify_one();
+  return future;
+}
+
+void Executor::WorkerLoop() {
+  while (true) {
+    std::packaged_task<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
+      if (queue_.empty()) {
+        // shutting_down_ must be true; drain is complete.
+        return;
+      }
+      task = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    task();
+  }
+}
 
 Executor& Executor::Get() {
   static Executor instance(DefaultThreads());
@@ -95,7 +157,7 @@ void Executor::ParallelForRanges(size_t n,
                                  const std::function<void(size_t, size_t)>& fn,
                                  size_t max_parallelism, size_t min_chunk) {
   if (n == 0) return;
-  size_t workers = pool_->num_threads();
+  size_t workers = threads_.size();
   if (max_parallelism > 0) workers = std::min(workers, max_parallelism);
   if (workers <= 1 || n < 2 || tls_in_parallel_region) {
     SerialRanges(n, fn);
@@ -143,7 +205,7 @@ void Executor::ParallelForRanges(size_t n,
   std::vector<std::future<void>> futures;
   futures.reserve(helpers);
   for (size_t h = 0; h < helpers; ++h) {
-    futures.push_back(pool_->Submit([&drain] { drain(true); }));
+    futures.push_back(Submit([&drain] { drain(true); }));
   }
   drain(false);
   for (auto& f : futures) f.get();

@@ -1,17 +1,20 @@
 #ifndef BDI_COMMON_EXECUTOR_H_
 #define BDI_COMMON_EXECUTOR_H_
 
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
-#include <memory>
-
-#include "bdi/common/thread_pool.h"
+#include <future>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace bdi {
 
-/// Process-wide execution substrate: one lazily-initialized shared
-/// ThreadPool behind chunked, work-stealing parallel loops (see DESIGN.md,
-/// "execution substrate"). Every parallel stage in the pipeline —
+/// Process-wide execution substrate: one lazily-initialized shared pool of
+/// worker threads behind chunked, work-stealing parallel loops (see
+/// DESIGN.md, "execution substrate"). Every parallel stage in the pipeline —
 /// blocking, pairwise matching, fusion EM loops, copy detection — runs on
 /// this pool instead of constructing and joining a private pool per call;
 /// it is what substitutes for a distributed dataflow cluster at laptop
@@ -47,7 +50,7 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   /// Worker count of the shared pool (fixed after lazy construction).
-  size_t num_threads() const { return pool_->num_threads(); }
+  size_t num_threads() const { return threads_.size(); }
 
   /// Runs fn(i) for i in [0, n), blocking until all complete.
   /// `max_parallelism` caps the worker count for this call: 0 means the
@@ -65,9 +68,21 @@ class Executor {
                          size_t max_parallelism = 0, size_t min_chunk = 1);
 
  private:
+  /// Spawns `num_threads` workers (at least 1).
   explicit Executor(size_t num_threads);
+  /// Drains queued work, then joins the workers (at process exit).
+  ~Executor();
 
-  std::unique_ptr<ThreadPool> pool_;
+  /// Enqueues `fn`; returns a future completing when it has run.
+  std::future<void> Submit(std::function<void()> fn);
+  /// Per-worker run loop: pops queued tasks until shutdown drains.
+  void WorkerLoop();
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::packaged_task<void()>> queue_;
+  bool shutting_down_ = false;
+  std::vector<std::thread> threads_;
 };
 
 /// Convenience wrappers over Executor::Get(). A serial request

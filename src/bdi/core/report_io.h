@@ -29,8 +29,9 @@ Status SaveIntegration(const IntegrationReport& report,
 /// reloaded from the same CSV); a mismatch is detected via record counts
 /// and attribute names where possible.
 ///
-/// The loaded report supports MaterializeEntities and QueryEngine; it does
-/// not restore internal statistics (stats/normalizer are recomputed).
+/// The loaded report supports MaterializeEntities and serve::Snapshot::Build;
+/// it does not restore internal statistics (stats/normalizer are
+/// recomputed).
 bdi::Result<IntegrationReport> LoadIntegration(const Dataset& dataset,
                                           const std::string& directory);
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "bdi/common/executor.h"
+#include "bdi/common/logging.h"
 #include "bdi/common/metrics.h"
 #include "bdi/common/string_util.h"
 #include "bdi/text/similarity.h"
@@ -31,8 +32,8 @@ std::shared_ptr<const Snapshot> Snapshot::Build(
   snapshot->num_records_ = dataset.num_records();
 
   const size_t clusters = report.linkage.clusters.num_clusters;
-  // Representative text and record count per cluster (same choice as the
-  // batch QueryEngine: longest first-field value wins).
+  // Representative text and record count per cluster: the longest
+  // first-field value wins, the first seen on a tie.
   std::vector<std::string> cluster_text(clusters);
   std::vector<uint32_t> cluster_records(clusters, 0);
   for (const Record& record : dataset.records()) {
@@ -137,8 +138,8 @@ AskAnswer Snapshot::Ask(const std::string& attribute_keywords,
   std::vector<FindHit> hits = Find(entity_keywords, 1);
   if (hits.empty()) return answer;
 
-  // Best mediated attribute: Jaro-Winkler plus the containment boost, same
-  // scoring as the batch QueryEngine.
+  // Best mediated attribute: Jaro-Winkler against each cluster name, raised
+  // to 0.9 when either string contains the other; the first best wins.
   std::string normalized = NormalizeAlnum(attribute_keywords);
   int best_attr = -1;
   double best_score = 0.0;
@@ -163,17 +164,12 @@ AskAnswer Snapshot::Ask(const std::string& attribute_keywords,
   answer.attribute = attribute_names_[static_cast<size_t>(best_attr)];
   answer.attribute_match = best_score;
 
-  const Shard& shard =
-      shards_[static_cast<size_t>(answer.cluster) % shards_.size()];
-  const ServedEntity* entity = nullptr;
-  for (const ServedEntity& candidate : shard.entities) {
-    if (candidate.cluster == answer.cluster) {
-      entity = &candidate;
-      break;
-    }
-  }
-  if (entity == nullptr) return answer;
-  for (const ServedValue& cell : entity->values) {
+  // Build places cluster c at slot c / num_shards of shard c % num_shards.
+  const size_t cluster = static_cast<size_t>(answer.cluster);
+  const ServedEntity& entity =
+      shards_[cluster % shards_.size()].entities[cluster / shards_.size()];
+  BDI_CHECK(entity.cluster == answer.cluster);
+  for (const ServedValue& cell : entity.values) {
     if (cell.attr == best_attr) {
       answer.value = cell.value;
       answer.confidence = cell.confidence;

@@ -59,7 +59,7 @@ struct FindHit {
 };
 
 /// A resolved ask answer (self-contained: no report/dataset needed to
-/// serialize it). `found()` mirrors core::Answer.
+/// serialize it).
 struct AskAnswer {
   /// Best-matching entity cluster, or kInvalidEntity when nothing matched.
   EntityId cluster = kInvalidEntity;
@@ -89,10 +89,10 @@ struct AskAnswer {
 /// snapshots (RCU-style), so a reader holding a shared_ptr sees one
 /// consistent version for the lifetime of its request.
 ///
-/// Query semantics are index-accelerated (docs/SERVING.md): find only
-/// considers entities sharing at least one token with the query (posting
-/// lookups), scored 0.7 * overlap-coefficient + 0.3 * Monge-Elkan like the
-/// batch QueryEngine, ties broken by ascending cluster id.
+/// Query semantics (docs/SERVING.md): only entities sharing at least one
+/// token with the query are find candidates (posting lookups). Each is
+/// scored 0.7 * overlap-coefficient + 0.3 * Monge-Elkan, ties broken by
+/// ascending cluster id, so answers do not depend on the shard count.
 class Snapshot {
  public:
   /// Materializes a snapshot from a finished pipeline run. `version` tags

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <memory>
 
-#include "bdi/core/query.h"
+#include "bdi/serve/snapshot.h"
 #include "bdi/synth/world.h"
 
 namespace bdi::core {
@@ -62,11 +62,15 @@ TEST(ReportIoTest, LoadedViewAnswersQueries) {
       LoadIntegration(fx.world.dataset, fx.dir);
   ASSERT_TRUE(loaded.ok());
 
-  QueryEngine original(&fx.report, &fx.world.dataset);
-  QueryEngine reloaded(&loaded.value(), &fx.world.dataset);
+  // A snapshot of the reloaded report serves what one of the original
+  // report serves.
+  auto original =
+      serve::Snapshot::Build(fx.report, fx.world.dataset, 1, 1, 1);
+  auto reloaded =
+      serve::Snapshot::Build(loaded.value(), fx.world.dataset, 1, 1, 1);
   const std::string& name = fx.world.truth.true_values[0][0];
-  Answer a = original.Ask("brand", name);
-  Answer b = reloaded.Ask("brand", name);
+  serve::AskAnswer a = original->Ask("brand", name);
+  serve::AskAnswer b = reloaded->Ask("brand", name);
   EXPECT_EQ(a.found(), b.found());
   if (a.found()) {
     EXPECT_EQ(a.value, b.value);

@@ -83,7 +83,6 @@
 #include "bdi/common/string_util.h"
 #include "bdi/common/table.h"
 #include "bdi/core/integrator.h"
-#include "bdi/core/query.h"
 #include "bdi/core/diff.h"
 #include "bdi/fusion/accu_copy.h"
 #include "bdi/fusion/bias.h"
@@ -93,6 +92,7 @@
 #include "bdi/model/dataset_io.h"
 #include "bdi/model/validate.h"
 #include "bdi/serve/server.h"
+#include "bdi/serve/snapshot.h"
 #include "bdi/schema/attribute_stats.h"
 #include "bdi/storage/bds_reader.h"
 #include "bdi/storage/bds_writer.h"
@@ -484,9 +484,11 @@ int CmdAsk(const Flags& flags) {
   } else {
     report = core::Integrator().Run(dataset.value());
   }
-  core::QueryEngine engine(&report, &dataset.value());
-  core::Answer answer =
-      engine.Ask(flags.Get("attribute", ""), flags.Get("entity", ""));
+  // Answered by the same snapshot code `bdi serve` runs, on 1 shard.
+  std::shared_ptr<const serve::Snapshot> snapshot =
+      serve::Snapshot::Build(report, dataset.value(), 1, 1, 1);
+  serve::AskAnswer answer =
+      snapshot->Ask(flags.Get("attribute", ""), flags.Get("entity", ""));
   if (!answer.found()) {
     std::printf("no answer\n");
     return 0;
@@ -494,8 +496,8 @@ int CmdAsk(const Flags& flags) {
   std::printf("%s of \"%s\" = %s  (confidence %.2f)\n",
               answer.attribute.c_str(), answer.entity_name.c_str(),
               answer.value.c_str(), answer.confidence);
-  for (const core::AnswerSupport& support : answer.support) {
-    std::printf("  %-24s %-16s %s\n", support.source_name.c_str(),
+  for (const serve::ServedClaim& support : answer.support) {
+    std::printf("  %-24s %-16s %s\n", support.source.c_str(),
                 support.value.c_str(),
                 support.agrees ? "agrees" : "dissents");
   }
