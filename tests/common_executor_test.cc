@@ -63,7 +63,9 @@ TEST(ExecutorTest, RangesRespectMinChunk) {
       1000,
       [&](size_t begin, size_t end) {
         // Every chunk except possibly the last is at least min_chunk wide.
-        if (end != 1000) EXPECT_GE(end - begin, 100u);
+        if (end != 1000) {
+          EXPECT_GE(end - begin, 100u);
+        }
         ++chunks;
       },
       /*max_parallelism=*/0, /*min_chunk=*/100);
@@ -124,6 +126,51 @@ TEST(ExecutorTest, ParallelSumMatchesSerial) {
   int64_t total =
       std::accumulate(partial.begin(), partial.end(), int64_t{0});
   EXPECT_EQ(total, int64_t{19999} * 20000 / 2);
+}
+
+// The shared worker pool behind Executor (the former ThreadPool): these
+// drive it through Executor::Get()'s member loops, capped at the worker
+// counts the standalone pool was built with.
+TEST(ThreadPoolTest, RunsSubmittedWork) {
+  std::atomic<int> counter{0};
+  Executor::Get().ParallelFor(100, [&](size_t) { ++counter; },
+                              /*max_parallelism=*/4);
+  EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ThreadPoolTest, AtLeastOneThread) {
+  EXPECT_GE(Executor::Get().num_threads(), 1u);
+}
+
+TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
+  std::vector<std::atomic<int>> hits(1000);
+  Executor::Get().ParallelFor(1000, [&](size_t i) { ++hits[i]; },
+                              /*max_parallelism=*/3);
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
+  Executor::Get().ParallelFor(
+      0, [](size_t) { FAIL() << "should not be called"; },
+      /*max_parallelism=*/2);
+}
+
+TEST(ThreadPoolTest, ParallelForSmallerThanThreads) {
+  std::atomic<int> counter{0};
+  Executor::Get().ParallelFor(3, [&](size_t) { ++counter; },
+                              /*max_parallelism=*/8);
+  EXPECT_EQ(counter.load(), 3);
+}
+
+TEST(ThreadPoolTest, ParallelSum) {
+  std::vector<int64_t> partial(1000, 0);
+  Executor::Get().ParallelFor(
+      1000, [&](size_t i) { partial[i] = static_cast<int64_t>(i); },
+      /*max_parallelism=*/4);
+  int64_t total = std::accumulate(partial.begin(), partial.end(), int64_t{0});
+  EXPECT_EQ(total, 999 * 1000 / 2);
 }
 
 }  // namespace
