@@ -9,7 +9,6 @@
 #include "bdi/common/string_util.h"
 #include "bdi/common/table.h"
 #include "bdi/core/integrator.h"
-#include "bdi/fusion/accu_copy.h"
 #include "bdi/fusion/evaluation.h"
 #include "bench_util.h"
 
@@ -96,11 +95,7 @@ int main() {
     linkage::Linker linker(&world.dataset, {}, &report.schema,
                            &report.normalizer);
     report.linkage = linker.Run();
-    report.claims = fusion::ClaimDb::FromPipeline(
-        world.dataset, report.linkage.clusters, report.schema,
-        report.normalizer, &linker.roles());
-    report.claims.CanonicalizeNumericValues(0.02);
-    report.fusion = fusion::AccuCopyFusion().Resolve(report.claims);
+    Fuse(world.dataset, IntegratorConfig(), &linker.roles(), &report);
     add("oracle schema", report);
   }
 
@@ -110,11 +105,7 @@ int main() {
     report.linkage.clusters.label_of_record =
         world.truth.entity_of_record;
     report.linkage.clusters.num_clusters = world.truth.num_entities();
-    report.claims = fusion::ClaimDb::FromPipeline(
-        world.dataset, report.linkage.clusters, report.schema,
-        report.normalizer, nullptr);
-    report.claims.CanonicalizeNumericValues(0.02);
-    report.fusion = fusion::AccuCopyFusion().Resolve(report.claims);
+    Fuse(world.dataset, IntegratorConfig(), /*roles=*/nullptr, &report);
     add("oracle linkage", report);
   }
 

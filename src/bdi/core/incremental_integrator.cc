@@ -3,50 +3,25 @@
 #include "bdi/common/logging.h"
 #include "bdi/common/timer.h"
 #include "bdi/common/trace.h"
-#include "bdi/fusion/accu_copy.h"
 
 namespace bdi::core {
 
-IncrementalIntegrator::IncrementalIntegrator(Dataset* dataset)
-    : IncrementalIntegrator(dataset, Config()) {}
-
 IncrementalIntegrator::IncrementalIntegrator(Dataset* dataset,
-                                             const Config& config)
+                                             const IntegratorConfig& config)
     : dataset_(dataset), config_(config) {
   BDI_CHECK(dataset_ != nullptr && dataset_->num_records() > 0)
       << "IncrementalIntegrator needs a bootstrap corpus";
+  linkage::IncrementalLinker::Config linker_config;
+  linker_config.scorer = config_.linker.scorer;
+  linker_config.threshold = config_.linker.threshold;
   linker_ = std::make_unique<linkage::IncrementalLinker>(dataset_,
-                                                         config_.linker);
-}
-
-void IncrementalIntegrator::AlignSchema() {
-  WallTimer timer;
-  trace::StageSpan span("schema");
-  span.AddItems(dataset_->num_attrs());
-  report_.stats = schema::AttributeStatistics::Compute(*dataset_);
-  std::vector<schema::AttrEdge> edges = schema::BuildCandidateEdges(
-      report_.stats, config_.integrator.attr_match);
-  report_.schema = schema::BuildMediatedSchema(
-      report_.stats, edges, config_.integrator.mediated_schema);
-  report_.normalizer =
-      schema::ValueNormalizer::Fit(report_.stats, report_.schema);
-  known_attr_count_ = dataset_->AllSourceAttrs().size();
-  report_.schema_seconds = timer.ElapsedSeconds();
-  schema_refreshed_ = true;
+                                                         linker_config);
 }
 
 size_t IncrementalIntegrator::Refresh() {
   trace::StageSpan refresh_span("refresh");
-  // 1. Schema: re-align only when genuinely new source attributes arrived
-  // (the cheap membership check happens on the interned attr universe).
-  schema_refreshed_ = false;
-  size_t attrs_now = dataset_->AllSourceAttrs().size();
-  if (report_.schema.clusters.empty() || attrs_now != known_attr_count_ ||
-      config_.realign_schema_each_refresh) {
-    AlignSchema();
-  }
+  AlignSchema(*dataset_, config_, &report_);
 
-  // 2. Linkage: incremental.
   WallTimer timer;
   size_t comparisons;
   {
@@ -60,40 +35,8 @@ size_t IncrementalIntegrator::Refresh() {
   report_.linkage_seconds = timer.ElapsedSeconds();
   refresh_span.AddItems(comparisons);
 
-  // 3. Feedback + claims + fusion. Claim building over the corpus is a
-  // single linear pass and fusion iterates over claims only, so both stay
-  // cheap relative to pairwise matching.
-  timer.Reset();
-  if (config_.integrator.linkage_feedback) {
-    trace::StageSpan span("feedback");
-    schema::LinkageRefinementReport refinement =
-        schema::RefineSchemaWithLinkage(
-            *dataset_, report_.stats, report_.schema, report_.normalizer,
-            report_.linkage.clusters.label_of_record,
-            config_.integrator.refinement);
-    report_.feedback_merges = refinement.merges;
-    span.AddItems(refinement.merges);
-    if (refinement.merges > 0) {
-      report_.schema = std::move(refinement.schema);
-      report_.normalizer =
-          schema::ValueNormalizer::Fit(report_.stats, report_.schema);
-    }
-  }
-  {
-    trace::StageSpan span("fusion");
-    report_.claims = fusion::ClaimDb::FromPipeline(
-        *dataset_, report_.linkage.clusters, report_.schema,
-        report_.normalizer, nullptr);
-    span.AddItems(report_.claims.num_claims());
-    if (config_.integrator.numeric_snap_tolerance > 0.0) {
-      report_.claims.CanonicalizeNumericValues(
-          config_.integrator.numeric_snap_tolerance);
-    }
-    fusion::AccuCopyConfig accu_copy = config_.integrator.accu_copy;
-    report_.fusion =
-        fusion::AccuCopyFusion(accu_copy).Resolve(report_.claims);
-  }
-  report_.fusion_seconds = timer.ElapsedSeconds();
+  ApplyLinkageFeedback(*dataset_, config_, &report_);
+  Fuse(*dataset_, config_, /*roles=*/nullptr, &report_);
   return comparisons;
 }
 

@@ -9,55 +9,41 @@
 namespace bdi::core {
 
 /// Incremental end-to-end integration (the velocity research direction the
-/// paper calls out): keep an integrated view continuously fresh as crawl
-/// batches arrive, without re-running the whole pipeline.
+/// paper calls out): keep an integrated view fresh as crawl batches
+/// arrive. Each Refresh() runs the pipeline's shared stages (integrator.h)
+/// around one incremental step:
 ///
-///  * schema alignment is bootstrapped once and refreshed only when new
-///    source attributes appear (cheap check per batch);
-///  * linkage is maintained by the IncrementalLinker (candidate harvest
-///    against the blocking index only for arriving records);
-///  * claims of clusters touched by the batch are rebuilt and fusion is
-///    re-run over the claim database (fusion is the cheap stage).
+///  * linkage is maintained by the IncrementalLinker, which compares only
+///    the arriving records against their blocking partners;
+///  * schema alignment, the linkage feedback step and fusion (claims,
+///    numeric snapping, the configured fusion method) run over the whole
+///    corpus on every refresh, exactly as in Integrator::Run.
 ///
-/// The result matches batch integration closely at a fraction of the
-/// per-batch cost (see bench_incremental_integration).
+/// Because every stage but linkage is recomputed from the corpus and the
+/// incremental edge set does not depend on how records were batched, the
+/// state after any sequence of Refresh() calls equals one Refresh() over
+/// the same records (with budgets off). Linkage differs from a batch run:
+/// the linker blocks and scores without the mediated schema, and fusion
+/// keeps the claims of name/identifier attributes (Fuse with null roles).
 class IncrementalIntegrator {
  public:
-  struct Config {
-    IntegratorConfig integrator;
-    linkage::IncrementalLinker::Config linker;
-    /// Re-align the mediated schema on *every* Refresh() instead of only
-    /// when new source attributes arrive. The lazy default means the
-    /// final schema can depend on which batch last triggered alignment;
-    /// with this on, the state after any sequence of Refresh() calls is
-    /// bitwise-identical to one bootstrap over the same records — the
-    /// invariant the serving layer's snapshot equivalence relies on.
-    /// Costs a full alignment pass per batch (cheap next to matching).
-    bool realign_schema_each_refresh = false;
-  };
-
   /// `dataset` must outlive the integrator and contain the bootstrap
-  /// corpus; Refresh() processes it (and every later append).
-  IncrementalIntegrator(Dataset* dataset, const Config& config);
-
-  /// Default-configured form (an overload, not a default argument: the
-  /// nested Config's member initializers are not usable as a default
-  /// argument inside the enclosing class).
-  explicit IncrementalIntegrator(Dataset* dataset);
+  /// corpus; Refresh() processes it (and every later append). The linker
+  /// takes its scorer and threshold from `config.linker` and starts
+  /// unbudgeted; budgets are set at runtime through linker().
+  explicit IncrementalIntegrator(Dataset* dataset,
+                                 const IntegratorConfig& config = {});
 
   IncrementalIntegrator(const IncrementalIntegrator&) = delete;
   IncrementalIntegrator& operator=(const IncrementalIntegrator&) = delete;
 
-  /// Ingests all records appended since the last call, updates linkage,
-  /// rebuilds claims and re-fuses. Returns pairwise comparisons spent.
+  /// Links all records appended since the last call, then realigns the
+  /// schema, applies linkage feedback and re-fuses the whole corpus.
+  /// Returns pairwise comparisons spent.
   size_t Refresh();
 
   /// The current integrated view (valid until the next Refresh).
   const IntegrationReport& report() const { return report_; }
-
-  /// Whether the schema was re-aligned during the last Refresh (new
-  /// source attributes arrived).
-  bool schema_refreshed() const { return schema_refreshed_; }
 
   size_t num_integrated_records() const { return linker_->num_indexed(); }
 
@@ -66,14 +52,10 @@ class IncrementalIntegrator {
   linkage::IncrementalLinker& linker() { return *linker_; }
 
  private:
-  void AlignSchema();
-
   Dataset* dataset_;
-  Config config_;
+  IntegratorConfig config_;
   std::unique_ptr<linkage::IncrementalLinker> linker_;
   IntegrationReport report_;
-  size_t known_attr_count_ = 0;
-  bool schema_refreshed_ = false;
 };
 
 }  // namespace bdi::core

@@ -22,24 +22,78 @@ std::string IntegrationReport::Summary() const {
   return out.str();
 }
 
-std::unique_ptr<fusion::FusionMethod> Integrator::MakeFusionMethod() const {
-  switch (config_.fusion) {
+std::unique_ptr<fusion::FusionMethod> MakeFusionMethod(
+    const IntegratorConfig& config) {
+  switch (config.fusion) {
     case FusionKind::kVote:
       return std::make_unique<fusion::VoteFusion>();
     case FusionKind::kAccu:
-      return std::make_unique<fusion::AccuFusion>(config_.accu);
+      return std::make_unique<fusion::AccuFusion>(config.accu);
     case FusionKind::kAccuSim: {
-      fusion::AccuConfig accusim = config_.accu;
+      fusion::AccuConfig accusim = config.accu;
       if (accusim.similarity_rho <= 0.0) accusim.similarity_rho = 0.3;
       return std::make_unique<fusion::AccuFusion>(accusim);
     }
     case FusionKind::kTruthFinder:
-      return std::make_unique<fusion::TruthFinderFusion>(
-          config_.truthfinder);
+      return std::make_unique<fusion::TruthFinderFusion>(config.truthfinder);
     case FusionKind::kAccuCopy:
-      return std::make_unique<fusion::AccuCopyFusion>(config_.accu_copy);
+      return std::make_unique<fusion::AccuCopyFusion>(config.accu_copy);
   }
   return std::make_unique<fusion::VoteFusion>();
+}
+
+void AlignSchema(const Dataset& dataset, const IntegratorConfig& config,
+                 IntegrationReport* report) {
+  WallTimer timer;
+  trace::StageSpan span("schema");
+  span.AddItems(dataset.num_attrs());
+  report->stats = schema::AttributeStatistics::Compute(dataset);
+  std::vector<schema::AttrEdge> edges =
+      schema::BuildCandidateEdges(report->stats, config.attr_match);
+  if (config.probabilistic_schema) {
+    schema::ProbabilisticMediatedSchema pms =
+        schema::ProbabilisticMediatedSchema::Build(report->stats, edges,
+                                                   config.probabilistic);
+    report->schema = pms.Consensus(report->stats, config.consensus_tau);
+  } else {
+    report->schema = schema::BuildMediatedSchema(report->stats, edges,
+                                                 config.mediated_schema);
+  }
+  report->normalizer =
+      schema::ValueNormalizer::Fit(report->stats, report->schema);
+  report->schema_seconds = timer.ElapsedSeconds();
+}
+
+void ApplyLinkageFeedback(const Dataset& dataset,
+                          const IntegratorConfig& config,
+                          IntegrationReport* report) {
+  if (!config.linkage_feedback) return;
+  trace::StageSpan span("feedback");
+  schema::LinkageRefinementReport refinement = schema::RefineSchemaWithLinkage(
+      dataset, report->stats, report->schema, report->normalizer,
+      report->linkage.clusters.label_of_record, config.refinement);
+  report->feedback_merges = refinement.merges;
+  span.AddItems(refinement.merges);
+  if (refinement.merges > 0) {
+    report->schema = std::move(refinement.schema);
+    report->normalizer =
+        schema::ValueNormalizer::Fit(report->stats, report->schema);
+  }
+}
+
+void Fuse(const Dataset& dataset, const IntegratorConfig& config,
+          const linkage::AttrRoles* roles, IntegrationReport* report) {
+  WallTimer timer;
+  trace::StageSpan span("fusion");
+  report->claims = fusion::ClaimDb::FromPipeline(
+      dataset, report->linkage.clusters, report->schema, report->normalizer,
+      roles);
+  if (config.numeric_snap_tolerance > 0.0) {
+    report->claims.CanonicalizeNumericValues(config.numeric_snap_tolerance);
+  }
+  span.AddItems(report->claims.num_claims());
+  report->fusion = MakeFusionMethod(config)->Resolve(report->claims);
+  report->fusion_seconds = timer.ElapsedSeconds();
 }
 
 IntegrationReport Integrator::Run(const Dataset& dataset) const {
@@ -55,73 +109,23 @@ IntegrationReport Integrator::Run(const Dataset& dataset) const {
 
 void Integrator::RunStages(const Dataset& dataset,
                            IntegrationReport* out) const {
-  IntegrationReport& report = *out;
-  WallTimer timer;
   trace::StageSpan pipeline_span("pipeline");
   pipeline_span.AddItems(dataset.num_records());
-
-  // Stage 1: bottom-up schema alignment.
-  {
-    trace::StageSpan span("schema");
-    span.AddItems(dataset.num_attrs());
-    report.stats = schema::AttributeStatistics::Compute(dataset);
-    std::vector<schema::AttrEdge> edges =
-        schema::BuildCandidateEdges(report.stats, config_.attr_match);
-    if (config_.probabilistic_schema) {
-      schema::ProbabilisticMediatedSchema pms =
-          schema::ProbabilisticMediatedSchema::Build(report.stats, edges,
-                                                     config_.probabilistic);
-      report.schema = pms.Consensus(report.stats, config_.consensus_tau);
-    } else {
-      report.schema = schema::BuildMediatedSchema(report.stats, edges,
-                                                  config_.mediated_schema);
-    }
-    report.normalizer =
-        schema::ValueNormalizer::Fit(report.stats, report.schema);
-  }
-  report.schema_seconds = timer.ElapsedSeconds();
+  AlignSchema(dataset, config_, out);
 
   // Stage 2: record linkage, with the aligned schema strengthening the
   // matcher's value-agreement evidence. (Linker::Run opens the
   // pipeline/linkage span and its blocking/matching/clustering children.)
-  timer.Reset();
-  linkage::Linker linker(&dataset, config_.linker, &report.schema,
-                         &report.normalizer);
-  report.linkage = linker.Run();
-  report.linkage_seconds = timer.ElapsedSeconds();
+  WallTimer timer;
+  linkage::Linker linker(&dataset, config_.linker, &out->schema,
+                         &out->normalizer);
+  out->linkage = linker.Run();
+  out->linkage_seconds = timer.ElapsedSeconds();
 
-  // Feedback loop: linked entities reveal attribute correspondences the
-  // name/value matchers missed; fold them into the schema before fusion.
-  if (config_.linkage_feedback) {
-    trace::StageSpan span("feedback");
-    schema::LinkageRefinementReport refinement =
-        schema::RefineSchemaWithLinkage(
-            dataset, report.stats, report.schema, report.normalizer,
-            report.linkage.clusters.label_of_record, config_.refinement);
-    report.feedback_merges = refinement.merges;
-    span.AddItems(refinement.merges);
-    if (refinement.merges > 0) {
-      report.schema = std::move(refinement.schema);
-      report.normalizer =
-          schema::ValueNormalizer::Fit(report.stats, report.schema);
-    }
-  }
-
-  // Stage 3: data fusion over the linked, aligned, normalized claims.
-  timer.Reset();
-  {
-    trace::StageSpan span("fusion");
-    report.claims = fusion::ClaimDb::FromPipeline(
-        dataset, report.linkage.clusters, report.schema, report.normalizer,
-        &linker.roles());
-    if (config_.numeric_snap_tolerance > 0.0) {
-      report.claims.CanonicalizeNumericValues(
-          config_.numeric_snap_tolerance);
-    }
-    span.AddItems(report.claims.num_claims());
-    report.fusion = MakeFusionMethod()->Resolve(report.claims);
-  }
-  report.fusion_seconds = timer.ElapsedSeconds();
+  // Linked entities reveal attribute correspondences the name/value
+  // matchers missed; fold them into the schema before fusion.
+  ApplyLinkageFeedback(dataset, config_, out);
+  Fuse(dataset, config_, &linker.roles(), out);
 }
 
 std::vector<IntegratedEntity> MaterializeEntities(

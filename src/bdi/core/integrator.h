@@ -91,6 +91,42 @@ struct IntegratedEntity {
   std::map<std::string, std::string> values;
 };
 
+// The pipeline's shared stages. Integrator::Run calls them around
+// linkage::Linker, IncrementalIntegrator::Refresh around
+// linkage::IncrementalLinker; each opens its trace span under the
+// caller's parent span ("pipeline" or "refresh").
+
+/// Stage 1, bottom-up schema alignment (span "schema"): attribute
+/// statistics, candidate edges, single-threshold or (with
+/// `config.probabilistic_schema`) probabilistic consensus clustering, and
+/// the value normalizer. Sets `stats`, `schema`, `normalizer` and
+/// `schema_seconds` of `report`.
+void AlignSchema(const Dataset& dataset, const IntegratorConfig& config,
+                 IntegrationReport* report);
+
+/// The linkage feedback step (span "feedback"), run only when
+/// `config.linkage_feedback` is set: merges schema clusters that agree on
+/// the values of linked entities, then refits the normalizer. Reads
+/// `report->linkage.clusters`; sets `feedback_merges` and, on a merge,
+/// `schema` and `normalizer`.
+void ApplyLinkageFeedback(const Dataset& dataset,
+                          const IntegratorConfig& config,
+                          IntegrationReport* report);
+
+/// Stage 3, data fusion (span "fusion"): builds the claim database from
+/// the linked, aligned, normalized records (ClaimDb::FromPipeline; claims
+/// on attributes `roles` marks as name/identifier are dropped, and none
+/// are when `roles` is null), snaps near-equal numeric claims, and
+/// resolves them with MakeFusionMethod(config). Sets `claims`, `fusion`
+/// and `fusion_seconds` of `report`.
+void Fuse(const Dataset& dataset, const IntegratorConfig& config,
+          const linkage::AttrRoles* roles, IntegrationReport* report);
+
+/// The truth-discovery model `config.fusion` names, configured from
+/// `config`.
+std::unique_ptr<fusion::FusionMethod> MakeFusionMethod(
+    const IntegratorConfig& config);
+
 /// The end-to-end big-data-integration pipeline: schema alignment ->
 /// record linkage -> data fusion, as one call.
 class Integrator {
@@ -104,11 +140,9 @@ class Integrator {
   const IntegratorConfig& config() const { return config_; }
 
  private:
-  /// The three stages proper, wrapped in the "pipeline" trace span;
-  /// Run() takes the metrics snapshot after the span closes.
+  /// The shared stages around linkage::Linker, wrapped in the "pipeline"
+  /// trace span; Run() takes the metrics snapshot after the span closes.
   void RunStages(const Dataset& dataset, IntegrationReport* out) const;
-
-  std::unique_ptr<fusion::FusionMethod> MakeFusionMethod() const;
 
   IntegratorConfig config_;
 };

@@ -8,6 +8,19 @@
 
 namespace bdi::linkage {
 
+namespace {
+
+/// Identifier tokens (model numbers, SKUs) shorter than this are not
+/// blocking keys.
+constexpr size_t kIdMinTokenLen = 4;
+/// Name tokens shorter than this are not blocking keys.
+constexpr size_t kMinNameTokenLen = 3;
+/// Name-token postings longer than this stop generating candidates
+/// (stop-word guard); postings stop growing at four times the cap.
+constexpr size_t kMaxPosting = 200;
+
+}  // namespace
+
 IncrementalLinker::IncrementalLinker(const Dataset* dataset,
                                      const Config& config)
     : dataset_(dataset),
@@ -70,15 +83,15 @@ std::vector<RecordIdx> IncrementalLinker::CandidatesFor(RecordIdx idx) const {
     all_text += ' ';
   }
   harvest(id_index_,
-          text::IdentifierTokens(all_text, config_.id_min_token_len),
+          text::IdentifierTokens(all_text, kIdMinTokenLen),
           /*max_posting=*/SIZE_MAX);
   std::vector<std::string> name_tokens;
   for (const std::string& token : text::TokenSet(all_text)) {
-    if (token.size() >= config_.min_name_token_len) {
+    if (token.size() >= kMinNameTokenLen) {
       name_tokens.push_back(token);
     }
   }
-  harvest(name_index_, name_tokens, config_.max_posting);
+  harvest(name_index_, name_tokens, kMaxPosting);
 
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -94,14 +107,14 @@ void IncrementalLinker::IndexRecord(RecordIdx idx) {
     all_text += ' ';
   }
   for (const std::string& token :
-       text::IdentifierTokens(all_text, config_.id_min_token_len)) {
+       text::IdentifierTokens(all_text, kIdMinTokenLen)) {
     id_index_[token].push_back(idx);
   }
   for (const std::string& token : text::TokenSet(all_text)) {
-    if (token.size() < config_.min_name_token_len) continue;
+    if (token.size() < kMinNameTokenLen) continue;
     std::vector<RecordIdx>& posting = name_index_[token];
     // Oversized postings are dead weight; stop growing well past the cap.
-    if (posting.size() <= 4 * config_.max_posting) posting.push_back(idx);
+    if (posting.size() <= 4 * kMaxPosting) posting.push_back(idx);
   }
 }
 

@@ -32,11 +32,6 @@ class IncrementalLinker {
     /// Scorer and match threshold, built by MakeScorer (linkage.h).
     ScorerKind scorer = ScorerKind::kRule;
     double threshold = 0.5;
-    /// Name-token postings longer than this stop generating candidates
-    /// (stop-word guard).
-    size_t max_posting = 200;
-    size_t id_min_token_len = 4;
-    size_t min_name_token_len = 3;
     /// Progressive comparison budget applied to each AddNewRecords()
     /// batch (LinkerConfig::comparison_budget encoding: 0 = unlimited,
     /// (0, 1) = fraction of the batch's payable comparisons, >= 1 =

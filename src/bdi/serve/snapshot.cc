@@ -20,6 +20,28 @@ void AppendHexDouble(std::string* out, double v) {
   *out += buf;
 }
 
+/// How well a normalized attribute query matches a normalized attribute
+/// name: Jaro-Winkler, raised to 0.9 when either contains the other.
+double AttributeScore(const std::string& query, const std::string& name) {
+  double score = text::JaroWinklerSimilarity(query, name);
+  if (name.find(query) != std::string::npos ||
+      query.find(name) != std::string::npos) {
+    score = std::max(score, 0.9);
+  }
+  return score;
+}
+
+/// The entity's fused cell for mediated attribute `attr`, or null.
+const ServedValue* CellOf(const ServedEntity& entity, int attr) {
+  for (const ServedValue& cell : entity.values) {
+    if (cell.attr == attr) return &cell;
+  }
+  return nullptr;
+}
+
+/// Asks resolve to no attribute scoring below this.
+constexpr double kMinAttributeScore = 0.5;
+
 }  // namespace
 
 std::shared_ptr<const Snapshot> Snapshot::Build(
@@ -29,6 +51,17 @@ std::shared_ptr<const Snapshot> Snapshot::Build(
   auto snapshot = std::shared_ptr<Snapshot>(new Snapshot());
   snapshot->version_ = version;
   snapshot->attribute_names_ = report.schema.cluster_names;
+  snapshot->attribute_members_.resize(report.schema.clusters.size());
+  for (size_t c = 0; c < report.schema.clusters.size(); ++c) {
+    std::vector<std::string>& names = snapshot->attribute_members_[c];
+    names.push_back(report.schema.cluster_names[c]);
+    for (const SourceAttr& member : report.schema.clusters[c]) {
+      names.push_back(NormalizeAlnum(dataset.attr_name(member.attr)));
+    }
+    std::erase(names, std::string());
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+  }
   snapshot->num_records_ = dataset.num_records();
 
   const size_t clusters = report.linkage.clusters.num_clusters;
@@ -137,45 +170,63 @@ AskAnswer Snapshot::Ask(const std::string& attribute_keywords,
   AskAnswer answer;
   std::vector<FindHit> hits = Find(entity_keywords, 1);
   if (hits.empty()) return answer;
+  // Build places cluster c at slot c / num_shards of shard c % num_shards.
+  const size_t cluster = static_cast<size_t>(hits[0].cluster);
+  const ServedEntity& entity =
+      shards_[cluster % shards_.size()].entities[cluster / shards_.size()];
+  BDI_CHECK(entity.cluster == hits[0].cluster);
 
-  // Best mediated attribute: Jaro-Winkler against each cluster name, raised
-  // to 0.9 when either string contains the other; the first best wins.
+  // Best mediated attribute: the first best-scoring cluster name.
   std::string normalized = NormalizeAlnum(attribute_keywords);
   int best_attr = -1;
   double best_score = 0.0;
   for (size_t c = 0; c < attribute_names_.size(); ++c) {
-    const std::string& name = attribute_names_[c];
-    if (name.empty()) continue;
-    double score = text::JaroWinklerSimilarity(normalized, name);
-    if (name.find(normalized) != std::string::npos ||
-        normalized.find(name) != std::string::npos) {
-      score = std::max(score, 0.9);
-    }
+    if (attribute_names_[c].empty()) continue;
+    double score = AttributeScore(normalized, attribute_names_[c]);
     if (score > best_score) {
       best_score = score;
       best_attr = static_cast<int>(c);
     }
   }
-  if (best_attr < 0 || best_score < 0.5) return answer;
+  const bool picked = best_score >= kMinAttributeScore;
+  const ServedValue* cell = picked ? CellOf(entity, best_attr) : nullptr;
+  if (cell == nullptr && !normalized.empty()) {
+    // Alignment can split one attribute over several clusters, and the
+    // entity's value may sit in one whose name does not match the query.
+    // Try the others, best first by their name or any member
+    // source-attribute name, ties by cluster index.
+    std::vector<std::pair<double, int>> ranked;  // (-score, cluster)
+    for (size_t c = 0; c < attribute_members_.size(); ++c) {
+      if (picked && static_cast<int>(c) == best_attr) continue;
+      double score = 0.0;
+      for (const std::string& name : attribute_members_[c]) {
+        score = std::max(score, AttributeScore(normalized, name));
+      }
+      if (score >= kMinAttributeScore) {
+        ranked.emplace_back(-score, static_cast<int>(c));
+      }
+    }
+    std::sort(ranked.begin(), ranked.end());
+    for (const auto& [negated_score, c] : ranked) {
+      cell = CellOf(entity, c);
+      if (cell != nullptr) {
+        best_attr = c;
+        best_score = -negated_score;
+        break;
+      }
+    }
+  }
+  if (best_score < kMinAttributeScore) return answer;
 
-  answer.cluster = hits[0].cluster;
+  answer.cluster = entity.cluster;
   answer.entity_match = hits[0].score;
   answer.entity_name = hits[0].text;
   answer.attribute = attribute_names_[static_cast<size_t>(best_attr)];
   answer.attribute_match = best_score;
-
-  // Build places cluster c at slot c / num_shards of shard c % num_shards.
-  const size_t cluster = static_cast<size_t>(answer.cluster);
-  const ServedEntity& entity =
-      shards_[cluster % shards_.size()].entities[cluster / shards_.size()];
-  BDI_CHECK(entity.cluster == answer.cluster);
-  for (const ServedValue& cell : entity.values) {
-    if (cell.attr == best_attr) {
-      answer.value = cell.value;
-      answer.confidence = cell.confidence;
-      answer.support = cell.support;
-      break;
-    }
+  if (cell != nullptr) {
+    answer.value = cell->value;
+    answer.confidence = cell->confidence;
+    answer.support = cell->support;
   }
   return answer;
 }

@@ -109,8 +109,10 @@ class Snapshot {
   std::vector<FindHit> Find(const std::string& keywords, size_t k) const;
 
   /// Answers "<attribute> of <entity>": best find hit, best mediated
-  /// attribute (Jaro-Winkler + containment, rejected below 0.5), fused
-  /// value with provenance.
+  /// attribute by cluster name (Jaro-Winkler + containment, rejected
+  /// below 0.5), fused value with provenance. When the entity has no
+  /// value for that attribute, the other attributes are tried, ranked by
+  /// the same score over their name and member source-attribute names.
   AskAnswer Ask(const std::string& attribute_keywords,
                 const std::string& entity_keywords) const;
 
@@ -145,6 +147,9 @@ class Snapshot {
   size_t num_records_ = 0;
   /// Mediated-schema attribute cluster names, indexed by cluster.
   std::vector<std::string> attribute_names_;
+  /// Per cluster: its name and its member source-attribute names,
+  /// normalized (NormalizeAlnum), sorted, deduplicated, none empty.
+  std::vector<std::vector<std::string>> attribute_members_;
   std::vector<Shard> shards_;
 };
 

@@ -212,18 +212,10 @@ Result<std::unique_ptr<EntityStore>> EntityStore::Create(
     store->source_ids_.emplace(source.name, source.id);
   }
 
-  core::IncrementalIntegrator::Config integrator_config;
-  integrator_config.integrator = config.integrator;
-  // The equivalence invariant needs alignment timing out of the picture:
-  // realigning every refresh makes K batches converge to the one-batch
-  // schema bitwise.
-  integrator_config.realign_schema_each_refresh = true;
   // The bootstrap pass runs unbudgeted — budgets bound *live* batch
   // latency, not initial build fidelity.
-  integrator_config.linker.scorer = config.integrator.linker.scorer;
-  integrator_config.linker.threshold = config.integrator.linker.threshold;
   store->integrator_ = std::make_unique<core::IncrementalIntegrator>(
-      &store->dataset_, integrator_config);
+      &store->dataset_, config.integrator);
   store->integrator_->Refresh();
 
   store->version_ = 1;

@@ -117,8 +117,9 @@ struct BatchResult {
 /// Equivalence invariant: with budgets off, the state after any sequence
 /// of ApplyBatch calls is bitwise-identical (Snapshot::DebugString) to a
 /// store bootstrapped from the same records in one batch — the
-/// incremental edge set is batch-partition-independent and the schema
-/// realigns every refresh (realign_schema_each_refresh). Crash recovery
+/// incremental edge set is batch-partition-independent and every refresh
+/// realigns the schema and re-fuses the whole corpus
+/// (IncrementalIntegrator::Refresh). Crash recovery
 /// inherits it: checkpoint + WAL-tail replay lands on the same
 /// DebugString as a never-crashed store (serve_recovery_test).
 class EntityStore {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bdi/fusion/evaluation.h"
+#include "bdi/fusion/fusion.h"
 #include "bdi/synth/world.h"
 
 namespace bdi::core {
@@ -46,7 +47,6 @@ TEST(IncrementalIntegratorTest, BootstrapMatchesBatchQuality) {
   stream.Feed(stream.full.dataset.num_records());
   IncrementalIntegrator incremental(&stream.live);
   incremental.Refresh();
-  EXPECT_TRUE(incremental.schema_refreshed());
 
   linkage::LinkageQuality quality = linkage::EvaluateClusters(
       incremental.report().linkage.clusters.label_of_record, stream.truth);
@@ -104,31 +104,44 @@ TEST(IncrementalIntegratorTest, StaysFreshAcrossBatches) {
   EXPECT_GE(incremental_precision, batch_precision - 0.05);
 }
 
-TEST(IncrementalIntegratorTest, SchemaRefreshOnlyOnNewAttributes) {
+TEST(IncrementalIntegratorTest, RefreshUsesConfiguredFusionMethod) {
   Stream stream;
   stream.Feed(stream.full.dataset.num_records() / 2);
-  IncrementalIntegrator incremental(&stream.live);
+  IntegratorConfig config;
+  config.fusion = FusionKind::kVote;
+  IncrementalIntegrator incremental(&stream.live, config);
   incremental.Refresh();
-  EXPECT_TRUE(incremental.schema_refreshed());
+  stream.Feed(stream.full.dataset.num_records() / 8);
+  incremental.Refresh();
 
-  // Append records from already-known sources/attrs only: find a source
-  // already present and clone one of its records.
-  const Record& known = stream.live.record(0);
-  std::vector<std::pair<std::string, std::string>> fields;
-  for (const Field& field : known.fields) {
-    fields.emplace_back(stream.live.attr_name(field.attr), field.value);
-  }
-  stream.live.AddRecord(known.source, fields);
-  stream.truth.push_back(stream.truth[0]);
-  incremental.Refresh();
-  EXPECT_FALSE(incremental.schema_refreshed());
+  const IntegrationReport& report = incremental.report();
+  ASSERT_FALSE(report.claims.items().empty());
+  fusion::FusionResult vote = fusion::VoteFusion().Resolve(report.claims);
+  EXPECT_EQ(report.fusion.chosen, vote.chosen);
+  EXPECT_EQ(report.fusion.confidence, vote.confidence);
+  EXPECT_EQ(report.fusion.source_accuracy, vote.source_accuracy);
+  EXPECT_EQ(report.fusion.iterations, vote.iterations);
+}
 
-  // A record with a brand-new attribute triggers re-alignment.
-  stream.live.AddRecord(known.source,
-                        {{"entirely new attr", "entirely new value"}});
-  stream.truth.push_back(kInvalidEntity);
+TEST(IncrementalIntegratorTest, RefreshUsesProbabilisticSchema) {
+  Stream stream;
+  stream.Feed(stream.full.dataset.num_records() / 2);
+  IntegratorConfig config;
+  config.probabilistic_schema = true;
+  // Feedback merges would rewrite the aligned schema; keep it as aligned.
+  config.linkage_feedback = false;
+  IncrementalIntegrator incremental(&stream.live, config);
   incremental.Refresh();
-  EXPECT_TRUE(incremental.schema_refreshed());
+
+  const IntegrationReport& report = incremental.report();
+  schema::MediatedSchema expected =
+      schema::ProbabilisticMediatedSchema::Build(
+          report.stats,
+          schema::BuildCandidateEdges(report.stats, config.attr_match),
+          config.probabilistic)
+          .Consensus(report.stats, config.consensus_tau);
+  EXPECT_EQ(report.schema.cluster_names, expected.cluster_names);
+  EXPECT_TRUE(report.schema.clusters == expected.clusters);
 }
 
 }  // namespace

@@ -105,6 +105,29 @@ TEST(ServeSnapshotQueryTest, UnknownEntityYieldsNoAnswer) {
   EXPECT_EQ(answer.cluster, kInvalidEntity);
 }
 
+// Alignment splits weight over two mediated clusters on this world,
+// `itemweight` and `productwght`. The query picks `itemweight` by name,
+// but the entity's records publish `weight` and `wght`, both clustered
+// into `productwght`, so its value is found through the member `weight`.
+TEST(ServeSnapshotQueryTest, AskFindsValueInSplitAttributeCluster) {
+  synth::WorldConfig config;
+  config.seed = 11;
+  config.category = "camera";
+  config.num_entities = 40;
+  config.num_sources = 5;
+  synth::SyntheticWorld world = synth::GenerateWorld(config);
+  core::IntegrationReport report = core::Integrator().Run(world.dataset);
+  std::shared_ptr<const Snapshot> snapshot =
+      Snapshot::Build(report, world.dataset, 1, 1, 1);
+
+  AskAnswer answer = snapshot->Ask("weight", "hraeo VY-1191 camera");
+  ASSERT_TRUE(answer.found()) << "resolved to " << answer.attribute;
+  EXPECT_EQ(answer.attribute, "productwght");
+  EXPECT_EQ(answer.attribute_match, 1.0);  // member `weight` matches exactly
+  EXPECT_EQ(answer.value.rfind("844.3", 0), 0u) << answer.value;
+  EXPECT_FALSE(answer.support.empty());
+}
+
 TEST(ServeSnapshotQueryTest, MostQueriesAnswerCorrectlyOnHeadEntities) {
   Fixture fx;
   int attr_index = -1;
