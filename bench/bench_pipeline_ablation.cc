@@ -4,12 +4,17 @@
 //      automating that stage;
 //  (b) feature toggles: linkage feedback loop, numeric value snapping,
 //      schema context in the matcher.
+#include <cstdint>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "bdi/common/string_util.h"
 #include "bdi/common/table.h"
 #include "bdi/core/integrator.h"
 #include "bdi/fusion/evaluation.h"
+#include "bdi/linkage/meta_blocking.h"
+#include "bdi/linkage/progressive.h"
 #include "bench_util.h"
 
 using namespace bdi;
@@ -126,9 +131,39 @@ int main() {
     add("vote instead of accucopy", Integrator(config).Run(world.dataset));
   }
   {
-    IntegratorConfig config;
-    config.linker.use_meta_blocking = true;
-    add("meta-blocking on", Integrator(config).Run(world.dataset));
+    // The linker's identifier and token blocks, pruned by MetaBlock, then
+    // scored by the progressive scheduler and clustered.
+    const IntegratorConfig config;
+    const Dataset& dataset = world.dataset;
+    IntegrationReport report;
+    AlignSchema(dataset, config, &report);
+    linkage::Linker linker(&dataset, config.linker, &report.schema,
+                           &report.normalizer, &report.stats);
+    std::vector<linkage::Block> blocks =
+        linkage::IdentifierBlocker().MakeBlocksAll(dataset, &linker.roles());
+    for (linkage::Block& block :
+         linkage::TokenBlocker().MakeBlocksAll(dataset, &linker.roles())) {
+      blocks.push_back(std::move(block));
+    }
+    std::vector<linkage::CandidatePair> candidates =
+        linkage::MetaBlock(dataset, blocks, linkage::MetaBlockingConfig());
+    std::vector<double> scores(candidates.size());
+    std::vector<uint8_t> scored(candidates.size(), 0);
+    linkage::ScorePairsProgressive(
+        linker.extractor(), linker.scorer(), candidates.data(),
+        candidates.size(), /*comparison_budget=*/0.0, /*budget_ms=*/0.0,
+        config.linker.num_threads, scores.data(), scored.data());
+    std::vector<linkage::ScoredPair> matches;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (scored[i] != 0 && scores[i] >= linker.scorer().threshold()) {
+        matches.push_back(linkage::ScoredPair{candidates[i], scores[i]});
+      }
+    }
+    report.linkage.clusters = linkage::ClusterRecords(
+        dataset.num_records(), matches, config.linker.clustering);
+    ApplyLinkageFeedback(dataset, config, &report);
+    Fuse(dataset, config, &linker.roles(), &report);
+    add("meta-blocking on", report);
   }
 
   table.Print("Table E18: stage substitutions and feature toggles");

@@ -1,10 +1,12 @@
-// Velocity in practice: pages keep arriving (and occasionally vanish), and
-// the integrated entity view must keep up without re-linking the world.
-// Demonstrates the IncrementalLinker ingesting a stream of crawl batches,
-// including a source that appears mid-stream.
+// Velocity in practice: pages keep arriving, and the integrated entity
+// view must keep up without re-linking the world. Demonstrates
+// Linker::AddNewRecords ingesting a stream of crawl batches: each batch is
+// compared only against its blocking partners, and roles follow the grown
+// corpus' statistics.
 #include <cstdio>
 
-#include "bdi/linkage/incremental.h"
+#include "bdi/linkage/linkage.h"
+#include "bdi/schema/attribute_stats.h"
 #include "bdi/synth/world.h"
 
 int main() {
@@ -42,14 +44,16 @@ int main() {
   };
 
   feed(full.dataset.num_records() / 3);
-  IncrementalLinker linker(&live, {});
+  Linker linker(&live, {});
   size_t comparisons = linker.AddNewRecords();
   std::printf("bootstrap: %zu pages indexed (%zu comparisons)\n",
               linker.num_indexed(), comparisons);
 
   for (int batch = 1; batch <= 4; ++batch) {
     size_t fed = feed(full.dataset.num_records() / 6);
-    comparisons = linker.AddNewRecords();
+    schema::AttributeStatistics stats =
+        schema::AttributeStatistics::Compute(live);
+    comparisons = linker.AddNewRecords(&stats);
     EntityClusters clusters = linker.Clusters();
     LinkageQuality quality =
         EvaluateClusters(clusters.label_of_record, truth);
@@ -60,9 +64,5 @@ int main() {
         quality.recall);
   }
 
-  // A page retires (tombstoned); the cluster view follows immediately.
-  linker.RemoveRecords({0, 1, 2});
-  EntityClusters after = linker.Clusters();
-  std::printf("after retiring 3 pages: %zu entities\n", after.num_clusters);
   return 0;
 }

@@ -11,11 +11,9 @@ IncrementalIntegrator::IncrementalIntegrator(Dataset* dataset,
     : dataset_(dataset), config_(config) {
   BDI_CHECK(dataset_ != nullptr && dataset_->num_records() > 0)
       << "IncrementalIntegrator needs a bootstrap corpus";
-  linkage::IncrementalLinker::Config linker_config;
-  linker_config.scorer = config_.linker.scorer;
-  linker_config.threshold = config_.linker.threshold;
-  linker_ = std::make_unique<linkage::IncrementalLinker>(dataset_,
-                                                         linker_config);
+  // The bootstrap links unbudgeted; budgets are runtime setters.
+  config_.linker.comparison_budget = 0.0;
+  config_.linker.budget_ms = 0.0;
 }
 
 size_t IncrementalIntegrator::Refresh() {
@@ -26,17 +24,22 @@ size_t IncrementalIntegrator::Refresh() {
   size_t comparisons;
   {
     trace::StageSpan span("linkage");
-    comparisons = linker_->AddNewRecords();
+    if (linker_ == nullptr) {
+      linker_ = std::make_unique<linkage::Linker>(
+          dataset_, config_.linker, /*schema=*/nullptr,
+          /*normalizer=*/nullptr, &report_.stats);
+    }
+    comparisons = linker_->AddNewRecords(&report_.stats);
     span.AddItems(comparisons);
     report_.linkage.clusters = linker_->Clusters();
-    report_.linkage.num_candidates += comparisons;
-    report_.linkage.num_matches = linker_->num_edges();
+    report_.linkage.num_candidates = linker_->num_candidates();
+    report_.linkage.num_matches = linker_->edges().size();
   }
   report_.linkage_seconds = timer.ElapsedSeconds();
   refresh_span.AddItems(comparisons);
 
   ApplyLinkageFeedback(*dataset_, config_, &report_);
-  Fuse(*dataset_, config_, /*roles=*/nullptr, &report_);
+  Fuse(*dataset_, config_, &linker_->roles(), &report_);
   return comparisons;
 }
 

@@ -118,7 +118,7 @@ void Integrator::RunStages(const Dataset& dataset,
   // pipeline/linkage span and its blocking/matching/clustering children.)
   WallTimer timer;
   linkage::Linker linker(&dataset, config_.linker, &out->schema,
-                         &out->normalizer);
+                         &out->normalizer, &out->stats);
   out->linkage = linker.Run();
   out->linkage_seconds = timer.ElapsedSeconds();
 

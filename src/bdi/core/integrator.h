@@ -92,8 +92,8 @@ struct IntegratedEntity {
 };
 
 // The pipeline's shared stages. Integrator::Run calls them around
-// linkage::Linker, IncrementalIntegrator::Refresh around
-// linkage::IncrementalLinker; each opens its trace span under the
+// Linker::Run, IncrementalIntegrator::Refresh around
+// Linker::AddNewRecords; each opens its trace span under the
 // caller's parent span ("pipeline" or "refresh").
 
 /// Stage 1, bottom-up schema alignment (span "schema"): attribute

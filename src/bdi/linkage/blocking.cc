@@ -39,6 +39,22 @@ std::string RoleText(const Dataset& dataset, RecordIdx idx,
 
 }  // namespace
 
+std::vector<std::string> BlockingKeys(const Dataset& dataset, RecordIdx idx,
+                                      const AttrRoles* roles, AttrRole role,
+                                      size_t min_len) {
+  std::string text = RoleText(dataset, idx, roles, role);
+  if (role == AttrRole::kIdentifier) {
+    return text::IdentifierTokens(text, min_len);
+  }
+  std::vector<std::string> tokens = text::TokenSet(text);
+  tokens.erase(std::remove_if(tokens.begin(), tokens.end(),
+                              [min_len](const std::string& t) {
+                                return t.size() < min_len;
+                              }),
+               tokens.end());
+  return tokens;
+}
+
 std::vector<Block> Blocker::MakeBlocksAll(const Dataset& dataset,
                                           const AttrRoles* roles) const {
   std::vector<RecordIdx> all;
@@ -93,14 +109,8 @@ std::vector<Block> TokenBlocker::MakeBlocks(
     const AttrRoles* roles) const {
   return TokenIndexBlocks(
       records, max_block_size_, num_threads_, [&](RecordIdx idx) {
-        std::string text = RoleText(dataset, idx, roles, AttrRole::kName);
-        std::vector<std::string> tokens = text::TokenSet(text);
-        tokens.erase(std::remove_if(tokens.begin(), tokens.end(),
-                                    [this](const std::string& t) {
-                                      return t.size() < min_token_len_;
-                                    }),
-                     tokens.end());
-        return tokens;
+        return BlockingKeys(dataset, idx, roles, AttrRole::kName,
+                            min_token_len_);
       });
 }
 
@@ -109,9 +119,8 @@ std::vector<Block> IdentifierBlocker::MakeBlocks(
     const AttrRoles* roles) const {
   return TokenIndexBlocks(
       records, max_block_size_, num_threads_, [&](RecordIdx idx) {
-        std::string text =
-            RoleText(dataset, idx, roles, AttrRole::kIdentifier);
-        return text::IdentifierTokens(text, min_len_);
+        return BlockingKeys(dataset, idx, roles, AttrRole::kIdentifier,
+                            min_len_);
       });
 }
 
@@ -220,6 +229,18 @@ std::vector<CandidatePair> BlocksToPairs(const Dataset& dataset,
                                          const std::vector<Block>& blocks,
                                          bool allow_same_source,
                                          size_t num_threads) {
+  std::vector<PostingSlice> postings;
+  postings.reserve(blocks.size());
+  for (const Block& block : blocks) {
+    postings.push_back(
+        PostingSlice{block.records.data(), block.records.size(), 0});
+  }
+  return PostingsToPairs(dataset, postings, allow_same_source, num_threads);
+}
+
+std::vector<CandidatePair> PostingsToPairs(
+    const Dataset& dataset, const std::vector<PostingSlice>& postings,
+    bool allow_same_source, size_t num_threads) {
   // Pair expansion shards the dedup by first record instead of funneling
   // every chunk's output through one mutex-guarded vector and a global
   // sort. Shards own contiguous ranges of `a`, so after the per-shard
@@ -228,7 +249,7 @@ std::vector<CandidatePair> BlocksToPairs(const Dataset& dataset,
   // per-shard sort canonicalizes whatever arrival order the chunk
   // scheduling produced).
   const size_t num_records = dataset.num_records();
-  if (blocks.empty() || num_records == 0) return {};
+  if (postings.empty() || num_records == 0) return {};
   const size_t num_shards =
       num_threads == 1
           ? 1
@@ -244,11 +265,12 @@ std::vector<CandidatePair> BlocksToPairs(const Dataset& dataset,
   std::vector<std::mutex> shard_mu(num_shards);
   auto expand = [&](size_t begin, size_t end) {
     std::vector<std::vector<CandidatePair>> local(num_shards);
-    for (size_t blk = begin; blk < end; ++blk) {
-      const Block& block = blocks[blk];
-      for (size_t i = 0; i < block.records.size(); ++i) {
-        for (size_t j = i + 1; j < block.records.size(); ++j) {
-          RecordIdx a = block.records[i], b = block.records[j];
+    for (size_t p = begin; p < end; ++p) {
+      const PostingSlice& posting = postings[p];
+      for (size_t j = std::max<size_t>(posting.first_new, 1);
+           j < posting.size; ++j) {
+        for (size_t i = 0; i < j; ++i) {
+          RecordIdx a = posting.records[i], b = posting.records[j];
           if (a == b) continue;
           if (!allow_same_source &&
               dataset.record(a).source == dataset.record(b).source) {
@@ -265,7 +287,7 @@ std::vector<CandidatePair> BlocksToPairs(const Dataset& dataset,
       shards[s].insert(shards[s].end(), local[s].begin(), local[s].end());
     }
   };
-  ParallelForRanges(blocks.size(), expand, num_threads);
+  ParallelForRanges(postings.size(), expand, num_threads);
   std::vector<size_t> pre_dedup_sizes(num_shards);
   ParallelFor(
       num_shards,

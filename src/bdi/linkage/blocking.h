@@ -30,6 +30,27 @@ struct CandidatePair {
   }
 };
 
+/// The two key families of token and identifier blocking, shared by
+/// TokenBlocker, IdentifierBlocker and the Linker's resident index:
+/// identifier keys are digit-bearing tokens of at least
+/// kIdentifierKeyMinLen characters and name keys are word tokens of at
+/// least kNameKeyMinLen characters. A key whose posting holds more than
+/// its family's cap stops generating candidates (a stop-word guard).
+inline constexpr size_t kIdentifierKeyMinLen = 5;
+inline constexpr size_t kIdentifierMaxPosting = 100;
+inline constexpr size_t kNameKeyMinLen = 3;
+inline constexpr size_t kNameMaxPosting = 200;
+
+/// The blocking keys of one record, sorted and unique. `role` picks the
+/// text: the values of the record's `role` fields (kIdentifier or kName),
+/// or all of its values when `roles` is null or the record has no field
+/// of that role. kIdentifier keys are that text's IdentifierTokens of
+/// length >= `min_len`; any other role keys on its word tokens of length
+/// >= `min_len`.
+std::vector<std::string> BlockingKeys(const Dataset& dataset, RecordIdx idx,
+                                      const AttrRoles* roles, AttrRole role,
+                                      size_t min_len);
+
 /// Strategy interface: partitions (possibly overlappingly) the records into
 /// blocks whose members are candidate matches.
 class Blocker {
@@ -63,8 +84,8 @@ class Blocker {
 /// (stop-word tokens) are dropped.
 class TokenBlocker : public Blocker {
  public:
-  explicit TokenBlocker(size_t min_token_len = 3,
-                        size_t max_block_size = 200)
+  explicit TokenBlocker(size_t min_token_len = kNameKeyMinLen,
+                        size_t max_block_size = kNameMaxPosting)
       : min_token_len_(min_token_len), max_block_size_(max_block_size) {}
 
   std::vector<Block> MakeBlocks(const Dataset& dataset,
@@ -83,7 +104,8 @@ class TokenBlocker : public Blocker {
 /// opportunity enables.
 class IdentifierBlocker : public Blocker {
  public:
-  explicit IdentifierBlocker(size_t min_len = 5, size_t max_block_size = 100)
+  explicit IdentifierBlocker(size_t min_len = kIdentifierKeyMinLen,
+                             size_t max_block_size = kIdentifierMaxPosting)
       : min_len_(min_len), max_block_size_(max_block_size) {}
 
   std::vector<Block> MakeBlocks(const Dataset& dataset,
@@ -143,6 +165,22 @@ std::vector<CandidatePair> BlocksToPairs(const Dataset& dataset,
                                          const std::vector<Block>& blocks,
                                          bool allow_same_source = false,
                                          size_t num_threads = 0);
+
+/// One posting to expand: `size` records sharing a key, of which
+/// `records[first_new..size)` are new since the posting was last expanded.
+struct PostingSlice {
+  const RecordIdx* records = nullptr;
+  size_t size = 0;
+  size_t first_new = 0;
+};
+
+/// Expands postings to deduplicated candidate pairs, sorted by (a, b):
+/// every pair of a posting with at least one new member, with BlocksToPairs'
+/// same-source rule, sharding and thread-count independence. BlocksToPairs
+/// is this function over its blocks with `first_new == 0`.
+std::vector<CandidatePair> PostingsToPairs(
+    const Dataset& dataset, const std::vector<PostingSlice>& postings,
+    bool allow_same_source = false, size_t num_threads = 0);
 
 /// Blocking quality vs. ground-truth record->entity labels:
 /// pairs completeness (recall of true pairs) and reduction ratio

@@ -20,7 +20,8 @@ namespace bdi::linkage {
 /// match set grows steeply at first and quality is *anytime*: stopping at
 /// a fraction of the comparisons keeps most of the recall (the
 /// recall-vs-comparisons curve in BENCH_linkage_quality.json). This is
-/// the only matcher: Linker and IncrementalLinker call it on every run.
+/// the only matcher: Linker::Run and Linker::AddNewRecords call it on
+/// every batch.
 /// With the budget unlimited, every pair whose bound can reach the
 /// threshold is compared, and the match set is bitwise the one a per-pair
 /// Extract + Score loop over all candidates finds (the reference matcher

@@ -42,6 +42,11 @@ const ServedValue* CellOf(const ServedEntity& entity, int attr) {
 /// Asks resolve to no attribute scoring below this.
 constexpr double kMinAttributeScore = 0.5;
 
+/// The fallback over other clusters takes only near-exact or substring
+/// name matches (AttributeScore's 0.9 substring level): looser
+/// Jaro-Winkler matches answer from unrelated attributes.
+constexpr double kMinFallbackAttributeScore = 0.9;
+
 }  // namespace
 
 std::shared_ptr<const Snapshot> Snapshot::Build(
@@ -202,7 +207,7 @@ AskAnswer Snapshot::Ask(const std::string& attribute_keywords,
       for (const std::string& name : attribute_members_[c]) {
         score = std::max(score, AttributeScore(normalized, name));
       }
-      if (score >= kMinAttributeScore) {
+      if (score >= kMinFallbackAttributeScore) {
         ranked.emplace_back(-score, static_cast<int>(c));
       }
     }

@@ -93,9 +93,10 @@ struct BatchResult {
 /// Concurrency model (docs/SERVING.md): readers call snapshot() — an
 /// atomic shared_ptr load — and run entirely against that immutable
 /// version; writers serialize on an internal mutex, push the batch
-/// through the IncrementalLinker path, build a fresh Snapshot and publish
-/// it with one atomic swap. Readers never block writers and vice versa;
-/// a reader mid-query keeps its version alive through the shared_ptr.
+/// through the resident Linker (Linker::AddNewRecords), build a fresh
+/// Snapshot and publish it with one atomic swap. Readers never block
+/// writers and vice versa; a reader mid-query keeps its version alive
+/// through the shared_ptr.
 ///
 /// Durability model (docs/SERVING.md): with `StoreConfig::wal` set, every
 /// accepted batch is framed, appended, and fsynced to the log *before* it
@@ -116,10 +117,14 @@ struct BatchResult {
 ///
 /// Equivalence invariant: with budgets off, the state after any sequence
 /// of ApplyBatch calls is bitwise-identical (Snapshot::DebugString) to a
-/// store bootstrapped from the same records in one batch — the
-/// incremental edge set is batch-partition-independent and every refresh
-/// realigns the schema and re-fuses the whole corpus
-/// (IncrementalIntegrator::Refresh). Crash recovery
+/// store bootstrapped from the same records in one batch, and to the
+/// batch pipeline AlignSchema -> Linker(dataset, config, nullptr,
+/// nullptr).Run() -> ApplyLinkageFeedback -> Fuse(&linker.roles()) over
+/// them — the resident Linker's state equals a batch Run() for any batch
+/// partition, and every refresh realigns the schema and re-fuses the
+/// whole corpus (IncrementalIntegrator::Refresh). It differs from
+/// Integrator::Run only by the schema features the batch linker scores
+/// with (docs/SERVING.md). Crash recovery
 /// inherits it: checkpoint + WAL-tail replay lands on the same
 /// DebugString as a never-crashed store (serve_recovery_test).
 class EntityStore {

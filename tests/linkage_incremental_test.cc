@@ -1,4 +1,7 @@
-#include "bdi/linkage/incremental.h"
+// Linker::AddNewRecords: a resident index links appended records by
+// comparing only the pairs they add (equivalence with a batch Run() is
+// pinned by linkage_index_equivalence_test).
+#include "bdi/linkage/linkage.h"
 
 #include <gtest/gtest.h>
 
@@ -17,7 +20,7 @@ TEST(IncrementalLinkerTest, LinksInitialCorpus) {
   config.num_entities = 100;
   config.num_sources = 8;
   synth::SyntheticWorld world = synth::GenerateWorld(config);
-  IncrementalLinker linker(&world.dataset, {});
+  Linker linker(&world.dataset, {});
   linker.AddNewRecords();
   EXPECT_EQ(linker.num_indexed(), world.dataset.num_records());
   LinkageQuality quality = EvaluateClusters(
@@ -54,9 +57,8 @@ TEST(IncrementalLinkerTest, IncrementalInsertsMatchNewRecords) {
   };
   for (size_t r = 0; r < initial; ++r) copy_record(r);
 
-  IncrementalLinker linker(&dataset, {});
-  linker.AddNewRecords();
-  size_t comparisons_initial = linker.total_comparisons();
+  Linker linker(&dataset, {});
+  size_t comparisons_initial = linker.AddNewRecords();
 
   for (size_t r = initial; r < full.dataset.num_records(); ++r) {
     copy_record(r);
@@ -99,9 +101,9 @@ TEST(IncrementalLinkerTest, UnbudgetedBatchReportsItsOwnSchedulerStats) {
   size_t initial = full.dataset.num_records() * 2 / 3;
   copy_records(0, initial);
 
-  IncrementalLinker::Config linker_config;
+  LinkerConfig linker_config;
   linker_config.comparison_budget = 0.1;
-  IncrementalLinker linker(&dataset, linker_config);
+  Linker linker(&dataset, linker_config);
   linker.AddNewRecords();
   ASSERT_TRUE(linker.last_progressive().budget_stopped);
 
@@ -121,63 +123,11 @@ TEST(IncrementalLinkerTest, AddNewRecordsIdempotentWhenNothingNew) {
   config.num_entities = 50;
   config.num_sources = 5;
   synth::SyntheticWorld world = synth::GenerateWorld(config);
-  IncrementalLinker linker(&world.dataset, {});
+  Linker linker(&world.dataset, {});
   linker.AddNewRecords();
-  size_t edges = linker.num_edges();
+  size_t edges = linker.edges().size();
   EXPECT_EQ(linker.AddNewRecords(), 0u);
-  EXPECT_EQ(linker.num_edges(), edges);
-}
-
-TEST(IncrementalLinkerTest, RemovalDetachesRecords) {
-  Dataset dataset;
-  SourceId s0 = dataset.AddSource("s0");
-  SourceId s1 = dataset.AddSource("s1");
-  SourceId s2 = dataset.AddSource("s2");
-  // Three records of the same entity (shared id), linked transitively.
-  dataset.AddRecord(s0, {{"name", "Canon X100"}, {"sku", "cm10001"}});
-  dataset.AddRecord(s1, {{"name", "canon x100"}, {"sku", "cm10001"}});
-  dataset.AddRecord(s2, {{"name", "CANON X100"}, {"sku", "cm10001"}});
-  // Noise records so role detection sees variety.
-  for (int i = 0; i < 10; ++i) {
-    dataset.AddRecord(s0, {{"name", "Filler A" + std::to_string(i)},
-                           {"sku", "fa900" + std::to_string(i)}});
-    dataset.AddRecord(s1, {{"name", "filler b" + std::to_string(i)},
-                           {"sku", "fb800" + std::to_string(i)}});
-  }
-  IncrementalLinker linker(&dataset, {});
-  linker.AddNewRecords();
-  EntityClusters before = linker.Clusters();
-  EXPECT_EQ(before.label_of_record[0], before.label_of_record[1]);
-  EXPECT_EQ(before.label_of_record[1], before.label_of_record[2]);
-
-  linker.RemoveRecords({1});
-  EntityClusters after = linker.Clusters();
-  // 0 and 2 remain linked (they also share the id directly).
-  EXPECT_EQ(after.label_of_record[0], after.label_of_record[2]);
-  // The tombstoned record becomes a singleton.
-  EXPECT_NE(after.label_of_record[1], after.label_of_record[0]);
-}
-
-TEST(IncrementalLinkerTest, RemovedRecordsStopGeneratingCandidates) {
-  Dataset dataset;
-  SourceId s0 = dataset.AddSource("s0");
-  SourceId s1 = dataset.AddSource("s1");
-  dataset.AddRecord(s0, {{"name", "Widget W1"}, {"sku", "w10001"}});
-  for (int i = 0; i < 10; ++i) {
-    dataset.AddRecord(s0, {{"name", "Filler A" + std::to_string(i)},
-                           {"sku", "fa900" + std::to_string(i)}});
-    dataset.AddRecord(s1, {{"name", "filler b" + std::to_string(i)},
-                           {"sku", "fb800" + std::to_string(i)}});
-  }
-  IncrementalLinker linker(&dataset, {});
-  linker.AddNewRecords();
-  linker.RemoveRecords({0});
-  // A new twin of record 0 arrives; it must not link to the tombstone.
-  dataset.AddRecord(s1, {{"name", "widget w1"}, {"sku", "w10001"}});
-  linker.AddNewRecords();
-  EntityClusters clusters = linker.Clusters();
-  RecordIdx twin = static_cast<RecordIdx>(dataset.num_records() - 1);
-  EXPECT_NE(clusters.label_of_record[0], clusters.label_of_record[twin]);
+  EXPECT_EQ(linker.edges().size(), edges);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 //     loses nothing relative to the batch pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -26,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "bdi/core/integrator.h"
+#include "bdi/linkage/linkage.h"
 #include "bdi/serve/snapshot.h"
 #include "bdi/serve/store.h"
 #include "bdi/synth/world.h"
@@ -216,6 +219,68 @@ TEST(ServeSnapshotEquivalenceTest, ConcurrentReadsMatchBatchPipeline) {
   // readers actually caught).
   for (size_t v = 1; v <= kBatches + 1; ++v) {
     EXPECT_FALSE(reference_state[v].empty());
+  }
+}
+
+// The batch pipeline with the served linkage, composed from its public
+// stages: AlignSchema -> Linker(..., nullptr, nullptr).Run() ->
+// ApplyLinkageFeedback -> Fuse with the linker's roles, as a snapshot.
+std::string ComposedBatchState(const Dataset& dataset,
+                               const StoreConfig& config) {
+  core::IntegrationReport report;
+  core::AlignSchema(dataset, config.integrator, &report);
+  linkage::Linker linker(&dataset, config.integrator.linker,
+                         /*schema=*/nullptr, /*normalizer=*/nullptr);
+  report.linkage = linker.Run();
+  core::ApplyLinkageFeedback(dataset, config.integrator, &report);
+  core::Fuse(dataset, config.integrator, &linker.roles(), &report);
+  return Snapshot::Build(report, dataset, config.num_shards, /*version=*/1,
+                         config.num_threads)
+      ->DebugString();
+}
+
+// Whatever the batch partition, the store's state is the batch pipeline's
+// over the same records: serving links with the batch Linker and fuses
+// with its roles.
+TEST(ServeSnapshotEquivalenceTest, StoreEqualsComposedBatchPipeline) {
+  synth::WorldConfig world_config;
+  world_config.seed = 2033;
+  world_config.num_entities = 80;
+  world_config.num_sources = 6;
+  synth::SyntheticWorld world = synth::GenerateWorld(world_config);
+  const Dataset& full = world.dataset;
+  const size_t total = full.num_records();
+  ASSERT_GT(total, 100u);
+
+  StoreConfig store_config;
+  store_config.num_shards = 4;
+  store_config.num_threads = 2;
+
+  // Bootstrap size and batch size: one batch, half + 4 batches, and
+  // 25-record batches from a 25-record bootstrap.
+  const std::vector<std::pair<size_t, size_t>> partitions = {
+      {total, 0}, {total / 2, (total - total / 2 + 3) / 4}, {25, 25}};
+  for (const auto& [bootstrap_count, batch_size] : partitions) {
+    SCOPED_TRACE("bootstrap=" + std::to_string(bootstrap_count) +
+                 " batch=" + std::to_string(batch_size));
+    Result<std::unique_ptr<EntityStore>> live = EntityStore::Create(
+        PrefixDataset(full, bootstrap_count), store_config);
+    ASSERT_TRUE(live.ok()) << live.status();
+    EntityStore& store = *live.value();
+    const bool check_each_batch = batch_size > 25;
+    for (size_t begin = bootstrap_count; begin < total; begin += batch_size) {
+      const size_t end = std::min(total, begin + batch_size);
+      Result<BatchResult> applied =
+          store.ApplyBatch(SliceBatch(full, begin, end));
+      ASSERT_TRUE(applied.ok()) << applied.status();
+      if (check_each_batch) {
+        EXPECT_EQ(store.snapshot()->DebugString(),
+                  ComposedBatchState(PrefixDataset(full, end), store_config))
+            << "after records [" << begin << ", " << end << ")";
+      }
+    }
+    EXPECT_EQ(store.snapshot()->DebugString(),
+              ComposedBatchState(PrefixDataset(full, total), store_config));
   }
 }
 

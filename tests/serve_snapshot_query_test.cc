@@ -128,6 +128,34 @@ TEST(ServeSnapshotQueryTest, AskFindsValueInSplitAttributeCluster) {
   EXPECT_FALSE(answer.support.empty());
 }
 
+// When the picked cluster has no cell for the entity, the fallback only
+// takes clusters whose names nearly or literally match the ask. On this
+// world, a 0.5 floor answered `name` from `batterylife` (score 0.56) and
+// `viewfinder` from `productitemresolution` (0.63) or `brand` (0.61).
+TEST(ServeSnapshotQueryTest, AskFallbackStaysOnTheAskedAttribute) {
+  synth::WorldConfig config;
+  config.seed = 11;
+  config.category = "camera";
+  config.num_entities = 40;
+  config.num_sources = 5;
+  synth::SyntheticWorld world = synth::GenerateWorld(config);
+  core::IntegrationReport report = core::Integrator().Run(world.dataset);
+  std::shared_ptr<const Snapshot> snapshot =
+      Snapshot::Build(report, world.dataset, 1, 1, 1);
+
+  size_t without_value = 0;
+  for (const Record& record : world.dataset.records()) {
+    const std::string& entity = record.fields[0].value;
+    AskAnswer name = snapshot->Ask("name", entity);
+    EXPECT_EQ(name.attribute, "name") << entity;
+    AskAnswer viewfinder = snapshot->Ask("viewfinder", entity);
+    EXPECT_EQ(viewfinder.attribute, "productviewfinder") << entity;
+    without_value += (name.found() ? 0 : 1) + (viewfinder.found() ? 0 : 1);
+  }
+  // Some entities have no cell in the picked cluster, so the fallback ran.
+  EXPECT_GT(without_value, 0u);
+}
+
 TEST(ServeSnapshotQueryTest, MostQueriesAnswerCorrectlyOnHeadEntities) {
   Fixture fx;
   int attr_index = -1;
