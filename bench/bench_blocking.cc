@@ -3,7 +3,8 @@
 // a redundancy-heavy token block collection. With --json, writes
 // BENCH_blocking.json: per-blocker pair-generation wall time, the blocking
 // graph build wall time (serial vs --threads), and the pipeline metrics
-// snapshot carrying the pairs generated/pruned counters.
+// snapshot carrying the pairs generated/pruned counters. Exits 1 when the
+// serial and parallel blocking graphs or match lists differ.
 #include <memory>
 
 #include "bdi/common/metrics.h"
@@ -70,6 +71,10 @@ int main(int argc, char** argv) {
   }
   table.Print("Figure E6: pairs completeness vs reduction ratio");
 
+  // Identity gates: the graph and matching blocks below each compare a
+  // serial run with the thread budget's, and any mismatch fails the run.
+  bool all_identical = true;
+
   // Blocking graph build (meta-blocking's dominant cost), serial vs the
   // thread budget — same chunking either way, so the graphs are identical.
   {
@@ -102,13 +107,13 @@ int main(int argc, char** argv) {
                        parallel_seconds
                  : 0.0);
     json.Note("graph_identical_output", identical ? "true" : "false");
+    all_identical = all_identical && identical;
   }
 
-  // Matching identity: the scheduler's bound pass (slab + vectorized
-  // signature reductions) and survivor pass must produce the same match
-  // list and scores serially and across the thread budget. Any
-  // divergence in the bound kernels or the chunking shows up here as
-  // identical: NO. (Bitwise agreement with a per-pair Extract + Score
+  // Matching identity: the scheduler's bound pass and survivor pass must
+  // produce the same match list and scores serially and across the thread
+  // budget. Any divergence in the chunking or the pooled scratch shows up
+  // here as identical: NO. (Bitwise agreement with a per-pair Extract + Score
   // loop is pinned by the linkage equivalence tests.)
   {
     auto run_matching = [&](size_t num_threads) {
@@ -141,6 +146,7 @@ int main(int argc, char** argv) {
                        parallel.matching_seconds
                  : 0.0);
     json.Note("matching_identical_output", identical ? "true" : "false");
+    all_identical = all_identical && identical;
   }
 
   TextTable meta({"scheme", "pruning", "candidates", "pairs completeness",
@@ -171,5 +177,5 @@ int main(int argc, char** argv) {
   }
   meta.Print("Table E6b: meta-blocking restructuring of the token blocks");
   bench::AttachMetricsSnapshot(json);
-  return 0;
+  return all_identical ? 0 : 1;
 }

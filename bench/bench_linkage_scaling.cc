@@ -4,7 +4,8 @@
 // thread pool; the thread sweep shows the (machine-dependent) speedup.
 // With `--json`, writes BENCH_linkage_scaling.json carrying the scaling
 // rows, the thread sweep, and the pipeline metrics snapshot (interner
-// size, slab and lane counts).
+// size, prefilter counts). Exits 1 when a thread count's matches differ
+// from the serial run's.
 #include <thread>
 
 #include "bdi/common/executor.h"
@@ -112,5 +113,5 @@ int main(int argc, char** argv) {
   std::printf("hardware_concurrency on this machine: %u\n",
               std::thread::hardware_concurrency());
   bench::AttachMetricsSnapshot(json);
-  return 0;
+  return identical_output ? 0 : 1;
 }

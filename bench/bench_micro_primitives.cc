@@ -3,17 +3,15 @@
 // loops of the pairwise-matching stage.
 //
 // With `--json`, skips google-benchmark and instead times the
-// signature-bound kernels at every supported SIMD dispatch level
-// (scalar, sse2, avx2 — see bdi::cpu), writing
-// BENCH_micro_primitives.json in the same schema as the other benches:
-// one entry per kernel/level with wall seconds and ops/sec
+// signature-bound kernels and the Monge-Elkan kernel they protect,
+// writing BENCH_micro_primitives.json in the same schema as the other
+// benches: one entry per kernel with wall seconds and ops/sec
 // (ns/op = 1e9 / items_per_sec).
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
-#include "bdi/common/cpu.h"
 #include "bdi/common/random.h"
 #include "bdi/common/timer.h"
 #include "bdi/text/interner.h"
@@ -44,15 +42,6 @@ void BM_JaroWinkler(benchmark::State& state) {
 }
 BENCHMARK(BM_JaroWinkler);
 
-void BM_EditDistance(benchmark::State& state) {
-  Rng rng(2);
-  std::string a = MakeName(&rng), b = MakeName(&rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(text::EditDistance(a, b));
-  }
-}
-BENCHMARK(BM_EditDistance);
-
 void BM_MongeElkan(benchmark::State& state) {
   Rng rng(3);
   std::string a = MakeName(&rng), b = MakeName(&rng);
@@ -61,15 +50,6 @@ void BM_MongeElkan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MongeElkan);
-
-void BM_TokenJaccard(benchmark::State& state) {
-  Rng rng(4);
-  std::string a = MakeName(&rng), b = MakeName(&rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(text::TokenJaccard(a, b));
-  }
-}
-BENCHMARK(BM_TokenJaccard);
 
 void BM_JaroWinklerUpperBound(benchmark::State& state) {
   Rng rng(8);
@@ -100,10 +80,9 @@ void BM_IdentifierTokens(benchmark::State& state) {
 BENCHMARK(BM_IdentifierTokens);
 
 // ---------------------------------------------------------------------------
-// --json mode: signature-bound kernels per SIMD dispatch level.
+// --json mode: signature-bound kernels and the kernel they bound.
 
-/// Fixed corpus of token pairs the per-level timings all run over, so
-/// levels differ only in instruction selection, never workload.
+/// Fixed corpus of token pairs and token sequences every timing runs over.
 struct KernelCorpus {
   std::vector<text::TokenSignature> x;
   std::vector<text::TokenSignature> y;
@@ -139,12 +118,12 @@ KernelCorpus MakeCorpus() {
 }
 
 /// Times `op(i)` over `ops` evaluations (cycling a corpus of `span`
-/// distinct inputs) and records it as `<kernel>/<level>`.
+/// distinct inputs) and records it as `micro/<kernel>`.
 template <typename Op>
 void TimeKernel(bench::JsonReporter& json, const std::string& kernel,
-                const char* level, size_t ops, size_t span, Op op) {
+                size_t ops, size_t span, Op op) {
   // One warm-up sweep so first-touch cache misses don't bill to the first
-  // level measured.
+  // kernel measured.
   double sink = 0.0;
   for (size_t i = 0; i < span; ++i) sink += op(i);
   WallTimer timer;
@@ -153,64 +132,35 @@ void TimeKernel(bench::JsonReporter& json, const std::string& kernel,
   // Keep `sink` live so the whole loop cannot be dead-code eliminated.
   benchmark::DoNotOptimize(sink);
   double ops_per_sec = seconds > 0.0 ? static_cast<double>(ops) / seconds : 0;
-  json.Add("micro/" + kernel + "/" + level, seconds, 1, ops_per_sec);
-  std::printf("%-36s %-7s %8.1f ns/op\n", kernel.c_str(), level,
+  json.Add("micro/" + kernel, seconds, 1, ops_per_sec);
+  std::printf("%-36s %8.1f ns/op\n", kernel.c_str(),
               ops_per_sec > 0.0 ? 1e9 / ops_per_sec : 0.0);
 }
 
 int RunJsonMode(int argc, char** argv) {
   bench::Banner("E0", "hot-primitive microbenchmarks (signature kernels)",
-                "integer signature bounds drop sharply from scalar to "
-                "sse2/avx2; the double-kernel reference rows are "
-                "level-invariant");
+                "a Jaro-Winkler signature bound costs tens of ns with no "
+                "string access; on this cycled corpus the full Monge-Elkan "
+                "row runs memo-warm, below its own bound");
   bench::BenchMain bench_main("micro_primitives", argc, argv);
   bench::JsonReporter& json = bench_main.json();
   KernelCorpus corpus = MakeCorpus();
   text::SimilarityScratch scratch;
-  json.Note("simd_detected",
-            std::string("\"") +
-                cpu::SimdLevelName(cpu::DetectedSimdLevel()) + "\"");
-
-  std::vector<cpu::SimdLevel> levels = {cpu::SimdLevel::kScalar};
-  if (cpu::DetectedSimdLevel() >= cpu::SimdLevel::kSse2) {
-    levels.push_back(cpu::SimdLevel::kSse2);
-  }
-  if (cpu::DetectedSimdLevel() >= cpu::SimdLevel::kAvx2) {
-    levels.push_back(cpu::SimdLevel::kAvx2);
-  }
   constexpr size_t kOps = 2'000'000;
   constexpr size_t kSeqOps = 200'000;
-  for (cpu::SimdLevel level : levels) {
-    cpu::SetSimdLevel(level);
-    const char* name = cpu::SimdLevelName(level);
-    TimeKernel(json, "jaro_match_upper_bound", name, kOps, corpus.x.size(),
-               [&](size_t i) {
-                 return static_cast<double>(
-                     text::JaroMatchUpperBound(corpus.x[i], corpus.y[i]));
-               });
-    TimeKernel(json, "edit_distance_lower_bound", name, kOps,
-               corpus.x.size(), [&](size_t i) {
-                 return static_cast<double>(text::EditDistanceLowerBound(
-                     corpus.x[i], corpus.y[i]));
-               });
-    TimeKernel(json, "jaro_winkler_upper_bound", name, kOps,
-               corpus.x.size(), [&](size_t i) {
-                 return text::JaroWinklerUpperBound(corpus.x[i],
-                                                    corpus.y[i]);
-               });
-    TimeKernel(json, "monge_elkan_upper_bound", name, kSeqOps,
-               corpus.seq_a.size(), [&](size_t i) {
-                 return text::SymmetricMongeElkanUpperBound(
-                     corpus.signatures, corpus.seq_a[i], corpus.seq_b[i],
-                     scratch);
-               });
-  }
-  cpu::SetSimdLevel(cpu::DetectedSimdLevel());
-  // Level-invariant reference row: the full double kernel the bounds are
-  // protecting, timed once at the detected level.
-  TimeKernel(json, "symmetric_monge_elkan",
-             cpu::SimdLevelName(cpu::ActiveSimdLevel()), kSeqOps,
-             corpus.seq_a.size(), [&](size_t i) {
+  TimeKernel(json, "jaro_winkler_upper_bound", kOps, corpus.x.size(),
+             [&](size_t i) {
+               return text::JaroWinklerUpperBound(corpus.x[i], corpus.y[i]);
+             });
+  TimeKernel(json, "monge_elkan_upper_bound", kSeqOps, corpus.seq_a.size(),
+             [&](size_t i) {
+               return text::SymmetricMongeElkanUpperBound(
+                   corpus.signatures, corpus.seq_a[i], corpus.seq_b[i],
+                   scratch);
+             });
+  // The full kernel the bounds protect.
+  TimeKernel(json, "symmetric_monge_elkan", kSeqOps, corpus.seq_a.size(),
+             [&](size_t i) {
                return text::SymmetricMongeElkan(corpus.interner,
                                                 corpus.seq_a[i],
                                                 corpus.seq_b[i], scratch);

@@ -1,6 +1,7 @@
 #include "bdi/linkage/blocking.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <unordered_map>
@@ -151,7 +152,10 @@ std::vector<Block> SortedNeighborhoodBlocker::MakeBlocks(
     size_t start = i >= window - 1 ? i - (window - 1) : 0;
     for (size_t j = start; j < i; ++j) {
       Block block;
-      block.key = "w" + std::to_string(j) + "_" + std::to_string(i);
+      block.key = "w";
+      block.key += std::to_string(j);
+      block.key += '_';
+      block.key += std::to_string(i);
       block.records = {keyed[j].second, keyed[i].second};
       blocks.push_back(std::move(block));
     }
@@ -187,8 +191,9 @@ std::vector<Block> CanopyBlocker::MakeBlocks(
   }
   std::vector<bool> covered(records.size(), false);
   // Dense overlap counters, reset via the touched list after every seed —
-  // no per-seed hash map.
-  std::vector<size_t> overlap(records.size(), 0);
+  // no per-seed hash map. A count never exceeds the seed's token-set size,
+  // which u32 token ids bound.
+  std::vector<uint32_t> overlap(records.size(), 0);
   std::vector<size_t> touched;
   std::vector<Block> blocks;
   for (size_t seed = 0; seed < records.size(); ++seed) {

@@ -266,52 +266,6 @@ PairFeatures FeatureExtractor::ExtractBounds(RecordIdx a, RecordIdx b,
   return bounds;
 }
 
-namespace {
-
-/// Pulls the two record caches of lane `i` toward L1 while earlier lanes
-/// compute. The caches are read-only here, so `_MM_HINT_T0`-style rw=0
-/// prefetches are always safe; a no-op on targets without the builtin.
-inline void PrefetchLane(const void* cache_a, const void* cache_b) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(cache_a, /*rw=*/0, /*locality=*/3);
-  __builtin_prefetch(cache_b, /*rw=*/0, /*locality=*/3);
-#else
-  (void)cache_a;
-  (void)cache_b;
-#endif
-}
-
-/// How far ahead of the computing lane the prefetcher runs. One cache
-/// pair is ~2 cache lines; 4 lanes of lookahead hides a main-memory miss
-/// behind the preceding pairs' kernel work without thrashing L1.
-constexpr size_t kPrefetchDistance = 4;
-
-}  // namespace
-
-void FeatureExtractor::ExtractBatch(const RecordIdx* a, const RecordIdx* b,
-                                    size_t n, PairFeatures* out,
-                                    text::SimilarityScratch& scratch) const {
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchDistance < n) {
-      PrefetchLane(&cache_[a[i + kPrefetchDistance]],
-                   &cache_[b[i + kPrefetchDistance]]);
-    }
-    out[i] = Extract(a[i], b[i], scratch);
-  }
-}
-
-void FeatureExtractor::ExtractBoundsBatch(
-    const RecordIdx* a, const RecordIdx* b, size_t n, PairFeatures* out,
-    text::SimilarityScratch& scratch) const {
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchDistance < n) {
-      PrefetchLane(&cache_[a[i + kPrefetchDistance]],
-                   &cache_[b[i + kPrefetchDistance]]);
-    }
-    out[i] = ExtractBounds(a[i], b[i], scratch);
-  }
-}
-
 LinearScorer::LinearScorer()
     : LinearScorer({0.35, 0.25, 0.15, 0.15, 0.10}) {}
 

@@ -65,14 +65,6 @@ class FeatureExtractor {
   PairFeatures Extract(RecordIdx a, RecordIdx b,
                        text::SimilarityScratch& scratch) const;
 
-  /// Batch form of Extract over parallel lane arrays: `out[i] =
-  /// Extract(a[i], b[i], scratch)` bit for bit, in lane order, with the
-  /// next lanes' record caches prefetched while the current pair's
-  /// kernels run. One grow-only scratch serves the whole lane group.
-  void ExtractBatch(const RecordIdx* a, const RecordIdx* b, size_t n,
-                    PairFeatures* out,
-                    text::SimilarityScratch& scratch) const;
-
   /// Cheap elementwise upper bound on Extract(a, b): id_exact and
   /// name_jaccard are computed exactly (they are integer merges over the
   /// interned sets), name_similarity is bounded via the per-token
@@ -85,16 +77,6 @@ class FeatureExtractor {
   /// programs, no string accesses, no numeric parsing.
   PairFeatures ExtractBounds(RecordIdx a, RecordIdx b,
                              text::SimilarityScratch& scratch) const;
-
-  /// Batch form of ExtractBounds: `out[i] = ExtractBounds(a[i], b[i],
-  /// scratch)` bit for bit, in lane order, with lookahead prefetch of the
-  /// upcoming lanes' record caches. This is the slab's vectorized bound
-  /// pass — the signature reductions underneath dispatch to SSE2/AVX2
-  /// when the CPU has them (see bdi::cpu), and every dispatch level
-  /// produces identical bounds.
-  void ExtractBoundsBatch(const RecordIdx* a, const RecordIdx* b, size_t n,
-                          PairFeatures* out,
-                          text::SimilarityScratch& scratch) const;
 
   /// Distinct tokens interned across all record caches (diagnostics).
   size_t num_interned_tokens() const { return interner_.size(); }
@@ -184,22 +166,6 @@ class PairScorer {
   virtual double ScoreUpperBound(const PairFeatures& bounds) const {
     (void)bounds;
     return 1.0;
-  }
-
-  /// Batch form of Score: `out[i] = Score(features[i])` for each lane.
-  /// The default delegates lane by lane; overrides must keep per-pair
-  /// operation order unchanged so batch scores stay bitwise identical to
-  /// single-pair scores (the equivalence gates assert this).
-  virtual void ScoreBatch(const PairFeatures* features, size_t n,
-                          double* out) const {
-    for (size_t i = 0; i < n; ++i) out[i] = Score(features[i]);
-  }
-
-  /// Batch form of ScoreUpperBound, same lane-by-lane contract as
-  /// ScoreBatch.
-  virtual void ScoreUpperBoundBatch(const PairFeatures* bounds, size_t n,
-                                    double* out) const {
-    for (size_t i = 0; i < n; ++i) out[i] = ScoreUpperBound(bounds[i]);
   }
 
   virtual std::string name() const = 0;

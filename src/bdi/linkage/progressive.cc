@@ -12,7 +12,7 @@
 #include "bdi/common/executor.h"
 #include "bdi/common/metrics.h"
 #include "bdi/common/timer.h"
-#include "bdi/linkage/batch.h"
+#include "bdi/text/similarity.h"
 
 namespace bdi::linkage {
 
@@ -92,48 +92,51 @@ metrics::Histogram& PrefilterBoundGapHistogram() {
 }
 
 /// Pairs per parallel chunk: small enough that skewed blocks still
-/// balance across workers, large enough to amortize slab warm-up.
+/// balance across workers, large enough to amortize a scratch checkout.
 constexpr size_t kMinScoreChunk = 64;
 
-/// Mutex-guarded checkout pool of CandidateSlabs shared by the workers of
-/// one scheduling run. A worker claiming its next chunk reuses a slab
-/// whose scratch buffers and token-pair memos are already warm (scores
-/// never depend on slab state, so reuse cannot change results). The mutex
-/// guards only the checkout and return, never the scoring.
-class SlabPool {
+/// Mutex-guarded checkout pool of SimilarityScratch shared by the workers
+/// of one scheduling run. A worker claiming its next chunk reuses a
+/// scratch whose buffers and Jaro-Winkler memo are already warm — which
+/// matters most to budgeted runs, whose rounds of 8-64 pairs would
+/// otherwise start every chunk with an empty memo. Scores never depend on
+/// scratch state, so reuse cannot change results. The mutex guards only
+/// the checkout and return, never the scoring.
+class ScratchPool {
  public:
-  /// RAII checkout: acquires a slab (reusing a returned one when
+  /// RAII checkout: acquires a scratch (reusing a returned one when
   /// available) on construction, returns it on destruction.
   class Lease {
    public:
-    explicit Lease(SlabPool& pool) : pool_(pool), slab_(pool.Acquire()) {}
-    ~Lease() { pool_.Release(std::move(slab_)); }
+    explicit Lease(ScratchPool& pool)
+        : pool_(pool), scratch_(pool.Acquire()) {}
+    ~Lease() { pool_.Release(std::move(scratch_)); }
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
-    CandidateSlab& operator*() const { return *slab_; }
-    CandidateSlab* operator->() const { return slab_.get(); }
+    text::SimilarityScratch& operator*() const { return *scratch_; }
 
    private:
-    SlabPool& pool_;
-    std::unique_ptr<CandidateSlab> slab_;
+    ScratchPool& pool_;
+    std::unique_ptr<text::SimilarityScratch> scratch_;
   };
 
  private:
-  std::unique_ptr<CandidateSlab> Acquire() {
+  std::unique_ptr<text::SimilarityScratch> Acquire() {
     std::lock_guard<std::mutex> lock(mu_);
-    if (free_.empty()) return std::make_unique<CandidateSlab>();
-    std::unique_ptr<CandidateSlab> slab = std::move(free_.back());
+    if (free_.empty()) return std::make_unique<text::SimilarityScratch>();
+    std::unique_ptr<text::SimilarityScratch> scratch =
+        std::move(free_.back());
     free_.pop_back();
-    return slab;
+    return scratch;
   }
 
-  void Release(std::unique_ptr<CandidateSlab> slab) {
+  void Release(std::unique_ptr<text::SimilarityScratch> scratch) {
     std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(slab));
+    free_.push_back(std::move(scratch));
   }
 
   std::mutex mu_;
-  std::vector<std::unique_ptr<CandidateSlab>> free_;
+  std::vector<std::unique_ptr<text::SimilarityScratch>> free_;
 };
 
 }  // namespace
@@ -204,7 +207,7 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
   if (n == 0) return stats;
   const double threshold = scorer.threshold();
   const bool metrics_on = metrics::Enabled();
-  SlabPool slab_pool;
+  ScratchPool scratch_pool;
 
   // Pass 1 (parallel): cheap score upper bounds for every candidate,
   // staged in `scores` until pass 3 overwrites a compared pair's slot with
@@ -213,9 +216,11 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
   ParallelForRanges(
       n,
       [&](size_t begin, size_t end) {
-        SlabPool::Lease slab(slab_pool);
-        BoundCandidateSlab(extractor, scorer, pairs + begin, end - begin,
-                           *slab, scores + begin);
+        ScratchPool::Lease scratch(scratch_pool);
+        for (size_t i = begin; i < end; ++i) {
+          scores[i] = scorer.ScoreUpperBound(
+              extractor.ExtractBounds(pairs[i].a, pairs[i].b, *scratch));
+        }
       },
       num_threads, kMinScoreChunk);
 
@@ -263,26 +268,18 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
                                          stats.num_survivors);
 
   // Helper shared by both pass-3 shapes: full kernels over
-  // schedule[begin..end), gathered into slab staging and scattered back
-  // to the pairs' original slots. Every score is the same bits a
-  // per-pair Extract + Score produces for that pair.
+  // schedule[begin..end), each score written to its pair's original slot
+  // (replacing the staged bound).
   auto score_range = [&](size_t begin, size_t end) {
-    SlabPool::Lease slab(slab_pool);
-    size_t m = end - begin;
-    slab->gather.resize(std::max(slab->gather.size(), m));
-    slab->gather_scores.resize(std::max(slab->gather_scores.size(), m));
-    for (size_t k = 0; k < m; ++k) {
-      slab->gather[k] = pairs[schedule[begin + k]];
-    }
-    ScoreCandidateSlab(extractor, scorer, slab->gather.data(), m, *slab,
-                       slab->gather_scores.data());
-    for (size_t k = 0; k < m; ++k) {
-      size_t lane = schedule[begin + k];
+    ScratchPool::Lease scratch(scratch_pool);
+    for (size_t k = begin; k < end; ++k) {
+      size_t lane = schedule[k];
+      double score = scorer.Score(
+          extractor.Extract(pairs[lane].a, pairs[lane].b, *scratch));
       if (metrics_on) {
-        PrefilterBoundGapHistogram().Observe(scores[lane] -
-                                             slab->gather_scores[k]);
+        PrefilterBoundGapHistogram().Observe(scores[lane] - score);
       }
-      scores[lane] = slab->gather_scores[k];
+      scores[lane] = score;
       scored[lane] = 1;
     }
   };

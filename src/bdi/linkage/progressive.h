@@ -13,15 +13,15 @@ namespace bdi::linkage {
 
 /// Bound-ranked comparison scheduling: the progressive (pay-as-you-go)
 /// matching stage. Every candidate pair gets a cheap score upper bound
-/// from the interned token evidence (BoundCandidateSlab in batch.h); the
-/// pairs that could clear the scorer's threshold are then compared in
-/// deterministic bound-descending tiers until a comparison budget runs
-/// out. Early comparisons concentrate on the highest-value pairs, so the
-/// match set grows steeply at first and quality is *anytime*: stopping at
-/// a fraction of the comparisons keeps most of the recall (the
-/// recall-vs-comparisons curve in BENCH_linkage_quality.json). This is
-/// the only matcher: Linker::Run and Linker::AddNewRecords call it on
-/// every batch.
+/// from the interned token evidence (FeatureExtractor::ExtractBounds and
+/// PairScorer::ScoreUpperBound); the pairs that could clear the scorer's
+/// threshold are then compared in deterministic bound-descending tiers
+/// until a comparison budget runs out. Early comparisons concentrate on
+/// the highest-value pairs, so the match set grows steeply at first and
+/// quality is *anytime*: stopping at a fraction of the comparisons keeps
+/// most of the recall (the recall-vs-comparisons curve in
+/// BENCH_linkage_quality.json). This is the only matcher: Linker::Run and
+/// Linker::AddNewRecords call it on every batch.
 /// With the budget unlimited, every pair whose bound can reach the
 /// threshold is compared, and the match set is bitwise the one a per-pair
 /// Extract + Score loop over all candidates finds (the reference matcher
@@ -127,9 +127,9 @@ struct ProgressiveStats {
 /// clustering. Matches are the scored slots at or above the scorer's
 /// threshold; with an unlimited budget every slot is scored, nothing is
 /// pruned, and the match slots are bitwise the per-pair
-/// `scorer.Score(extractor.Extract(...))` values, for every scorer,
-/// thread count, and SIMD dispatch level (the bound is sound, so a
-/// skipped pair could never have matched). Under any budget the scored
+/// `scorer.Score(extractor.Extract(...))` values, for every scorer and
+/// thread count (the bound is sound, so a skipped pair could never have
+/// matched). Under any budget the scored
 /// set — and so the match set — is a subset of the scored set at every
 /// larger budget.
 /// `comparison_budget` follows the ResolveComparisonBudget encoding;

@@ -2,19 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
-#include "bdi/common/cpu.h"
 #include "bdi/common/string_util.h"
 #include "bdi/text/tokenizer.h"
-
-// Vector paths exist only on x86 (SSE2/AVX2) and compile out entirely in
-// BDI_DISABLE_SIMD builds; cpu::ActiveSimdLevel() is kScalar then, so the
-// dispatch below falls through to the portable loop.
-#if !defined(BDI_DISABLE_SIMD) && (defined(__x86_64__) || defined(__i386__))
-#define BDI_SIMD_X86 1
-#include <immintrin.h>
-#endif
 
 namespace bdi::text {
 
@@ -40,38 +30,6 @@ size_t SortedIntersectionSize(const std::vector<std::string>& a,
 }
 
 }  // namespace
-
-size_t EditDistance(std::string_view a, std::string_view b) {
-  SimilarityScratch scratch;
-  return EditDistance(a, b, scratch);
-}
-
-size_t EditDistance(std::string_view a, std::string_view b,
-                    SimilarityScratch& scratch) {
-  if (a.size() > b.size()) std::swap(a, b);
-  // Two-row dynamic program; a is the shorter string.
-  std::vector<size_t>& prev = scratch.dp_prev;
-  std::vector<size_t>& cur = scratch.dp_cur;
-  prev.resize(a.size() + 1);
-  cur.resize(a.size() + 1);
-  for (size_t i = 0; i <= a.size(); ++i) prev[i] = i;
-  for (size_t j = 1; j <= b.size(); ++j) {
-    cur[0] = j;
-    for (size_t i = 1; i <= a.size(); ++i) {
-      size_t substitution = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, substitution});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[a.size()];
-}
-
-double NormalizedEditSimilarity(std::string_view a, std::string_view b) {
-  size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(EditDistance(a, b)) /
-                   static_cast<double>(longest);
-}
 
 double JaroSimilarity(std::string_view a, std::string_view b) {
   SimilarityScratch scratch;
@@ -162,15 +120,6 @@ double JaccardSimilarityIds(const std::vector<TokenId>& a,
   return static_cast<double>(common) / static_cast<double>(unions);
 }
 
-double DiceSimilarity(const std::vector<std::string>& a,
-                      const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  size_t common = SortedIntersectionSize(a, b);
-  return 2.0 * static_cast<double>(common) /
-         static_cast<double>(a.size() + b.size());
-}
-
 double OverlapCoefficient(const std::vector<std::string>& a,
                           const std::vector<std::string>& b) {
   if (a.empty() && b.empty()) return 1.0;
@@ -178,20 +127,6 @@ double OverlapCoefficient(const std::vector<std::string>& a,
   size_t common = SortedIntersectionSize(a, b);
   return static_cast<double>(common) /
          static_cast<double>(std::min(a.size(), b.size()));
-}
-
-double TokenJaccard(std::string_view a, std::string_view b) {
-  return JaccardSimilarity(TokenSet(a), TokenSet(b));
-}
-
-double TrigramJaccard(std::string_view a, std::string_view b) {
-  std::vector<std::string> ga = QGrams(a, 3);
-  std::vector<std::string> gb = QGrams(b, 3);
-  std::sort(ga.begin(), ga.end());
-  ga.erase(std::unique(ga.begin(), ga.end()), ga.end());
-  std::sort(gb.begin(), gb.end());
-  gb.erase(std::unique(gb.begin(), gb.end()), gb.end());
-  return JaccardSimilarity(ga, gb);
 }
 
 double MongeElkanSimilarity(std::string_view a, std::string_view b) {
@@ -327,11 +262,11 @@ size_t CharClass(char c) {
 /// undercount, so bounds fall back to the pure length bound.
 constexpr uint32_t kMaxExactLength = 255;
 
-/// Portable histogram intersection: sum over the classes present in both
-/// masks of min(count_x, count_y). Classes absent from either side have a
-/// zero count on that side, so this equals the all-classes min-sum the
-/// vector paths compute — the mask walk just skips known zeros.
-size_t SharedCharSumScalar(const TokenSignature& x, const TokenSignature& y) {
+/// Histogram intersection: sum over the classes present in both masks of
+/// min(count_x, count_y). Classes absent from either side have a zero
+/// count on that side, so this equals the all-classes min-sum — the mask
+/// walk just skips known zeros.
+size_t SharedCharSum(const TokenSignature& x, const TokenSignature& y) {
   uint64_t shared = x.class_mask & y.class_mask;
   size_t common = 0;
   while (shared != 0) {
@@ -343,92 +278,12 @@ size_t SharedCharSumScalar(const TokenSignature& x, const TokenSignature& y) {
   return common;
 }
 
-#if BDI_SIMD_X86
-
-// Both vector paths compute sum_c min(x[c], y[c]) over the whole
-// histogram: unsigned byte min then a sum-of-bytes reduction (psadbw
-// against zero). Every operand is an exact small integer, so the result
-// is identical to the scalar mask walk — not approximately, bitwise.
-// Loads cover class_counts exactly: kSignatureClassStorage = 40 bytes as
-// 32 + 8, with the padding bytes always zero (min contributes nothing),
-// so no scalar tail remains.
-
-size_t SharedCharSumSse2(const TokenSignature& x, const TokenSignature& y) {
-  const uint8_t* xs = x.class_counts.data();
-  const uint8_t* ys = y.class_counts.data();
-  __m128i zero = _mm_setzero_si128();
-  __m128i m0 = _mm_min_epu8(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(xs)),
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(ys)));
-  __m128i m1 = _mm_min_epu8(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(xs + 16)),
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(ys + 16)));
-  __m128i m2 = _mm_min_epu8(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(xs + 32)),
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(ys + 32)));
-  __m128i sums =
-      _mm_add_epi64(_mm_add_epi64(_mm_sad_epu8(m0, zero),
-                                  _mm_sad_epu8(m1, zero)),
-                    _mm_sad_epu8(m2, zero));
-  uint64_t total =
-      static_cast<uint64_t>(_mm_cvtsi128_si64(sums)) +
-      static_cast<uint64_t>(
-          _mm_cvtsi128_si64(_mm_unpackhi_epi64(sums, sums)));
-  return static_cast<size_t>(total);
-}
-
-__attribute__((target("avx2"))) size_t SharedCharSumAvx2(
-    const TokenSignature& x, const TokenSignature& y) {
-  const uint8_t* xs = x.class_counts.data();
-  const uint8_t* ys = y.class_counts.data();
-  __m256i m = _mm256_min_epu8(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs)),
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ys)));
-  __m256i sad = _mm256_sad_epu8(m, _mm256_setzero_si256());
-  __m128i tail = _mm_min_epu8(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(xs + 32)),
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(ys + 32)));
-  __m128i sums = _mm_add_epi64(
-      _mm_add_epi64(_mm256_castsi256_si128(sad),
-                    _mm256_extracti128_si256(sad, 1)),
-      _mm_sad_epu8(tail, _mm_setzero_si128()));
-  uint64_t total =
-      static_cast<uint64_t>(_mm_cvtsi128_si64(sums)) +
-      static_cast<uint64_t>(
-          _mm_cvtsi128_si64(_mm_unpackhi_epi64(sums, sums)));
-  return static_cast<size_t>(total);
-}
-
-#endif  // BDI_SIMD_X86
-
-/// Shared classes below which the scalar mask walk beats any fixed-width
-/// reduction: short word tokens intersect in only a handful of classes,
-/// and walking those few set bits is cheaper than loading and reducing
-/// the whole 40-byte histogram. Measured crossover on the micro bench
-/// sits near 8 shared classes (full-name signatures are well above it,
-/// word tokens well below).
-constexpr int kVectorCutover = 8;
-
-/// Runtime-dispatched shared-character multiset size. The branch on the
-/// cached level predicts perfectly (it never changes mid-run outside the
-/// equivalence tests), and each path returns the same exact integer —
-/// including the sparse-mask scalar shortcut, which only re-orders which
-/// known-zero classes get skipped.
-size_t SharedCharSum(const TokenSignature& x, const TokenSignature& y) {
-#if BDI_SIMD_X86
-  if (std::popcount(x.class_mask & y.class_mask) >= kVectorCutover) {
-    cpu::SimdLevel level = cpu::ActiveSimdLevel();
-    if (level >= cpu::SimdLevel::kAvx2) return SharedCharSumAvx2(x, y);
-    if (level >= cpu::SimdLevel::kSse2) return SharedCharSumSse2(x, y);
-  }
-#endif
-  return SharedCharSumScalar(x, y);
-}
-
-/// Shared-character multiset size from the two histograms, or min length
-/// when either histogram saturated.
-size_t SharedCharUpperBound(const TokenSignature& x,
-                            const TokenSignature& y) {
+/// Upper bound on the number of Jaro character matches between two
+/// tokens: min of the lengths, tightened by the shared-character multiset
+/// size when neither histogram saturated (Jaro matches pair equal
+/// characters injectively, so no alignment can match more than the
+/// multiset intersection).
+size_t JaroMatchUpperBound(const TokenSignature& x, const TokenSignature& y) {
   size_t bound = std::min(x.length, y.length);
   if (x.length > kMaxExactLength || y.length > kMaxExactLength) return bound;
   return std::min(bound, SharedCharSum(x, y));
@@ -481,10 +336,6 @@ TokenSignature MakeTokenSignature(std::string_view token) {
   return signature;
 }
 
-size_t JaroMatchUpperBound(const TokenSignature& x, const TokenSignature& y) {
-  return SharedCharUpperBound(x, y);
-}
-
 double JaroWinklerUpperBound(const TokenSignature& x,
                              const TokenSignature& y) {
   // Mirror the real kernel's empty-string cases exactly.
@@ -505,21 +356,6 @@ double JaroWinklerUpperBound(const TokenSignature& x,
   constexpr double kScaling = 0.1;
   return jaro_ub +
          static_cast<double>(prefix_ub) * kScaling * (1.0 - jaro_ub);
-}
-
-size_t EditDistanceLowerBound(const TokenSignature& x,
-                              const TokenSignature& y) {
-  size_t longest = std::max(x.length, y.length);
-  size_t gap = longest - std::min(x.length, y.length);
-  return std::max(gap, longest - SharedCharUpperBound(x, y));
-}
-
-double NormalizedEditSimilarityUpperBound(const TokenSignature& x,
-                                          const TokenSignature& y) {
-  size_t longest = std::max(x.length, y.length);
-  if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(EditDistanceLowerBound(x, y)) /
-                   static_cast<double>(longest);
 }
 
 double SymmetricMongeElkanUpperBound(
@@ -554,31 +390,6 @@ double SymmetricMongeElkanUpperBound(
                   total_b / static_cast<double>(b.size()));
 }
 
-double SmithWatermanSimilarity(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  constexpr int kMatch = 2;
-  constexpr int kMismatch = -1;
-  constexpr int kGap = -1;
-  // Two-row dynamic program over local alignment scores.
-  std::vector<int> prev(b.size() + 1, 0), cur(b.size() + 1, 0);
-  int best = 0;
-  for (size_t i = 1; i <= a.size(); ++i) {
-    cur[0] = 0;
-    for (size_t j = 1; j <= b.size(); ++j) {
-      int diagonal =
-          prev[j - 1] + (a[i - 1] == b[j - 1] ? kMatch : kMismatch);
-      int up = prev[j] + kGap;
-      int left = cur[j - 1] + kGap;
-      cur[j] = std::max({0, diagonal, up, left});
-      best = std::max(best, cur[j]);
-    }
-    std::swap(prev, cur);
-  }
-  int max_possible = kMatch * static_cast<int>(std::min(a.size(), b.size()));
-  return static_cast<double>(best) / static_cast<double>(max_possible);
-}
-
 double NumericSimilarity(std::string_view a, std::string_view b) {
   double va = 0.0, vb = 0.0;
   if (!ParseLeadingDouble(a, &va, nullptr) ||
@@ -586,50 +397,6 @@ double NumericSimilarity(std::string_view a, std::string_view b) {
     return 0.0;
   }
   return NumericSimilarityValues(va, vb);
-}
-
-void TfIdfVectorizer::AddDocument(const std::vector<std::string>& tokens) {
-  ++num_documents_;
-  std::vector<std::string> unique = tokens;
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  for (const std::string& t : unique) {
-    ++document_frequency_[t];
-  }
-}
-
-double TfIdfVectorizer::Idf(const std::string& token) const {
-  auto it = document_frequency_.find(token);
-  size_t df = it == document_frequency_.end() ? 0 : it->second;
-  return std::log((1.0 + static_cast<double>(num_documents_)) /
-                  (1.0 + static_cast<double>(df))) +
-         1.0;
-}
-
-double TfIdfVectorizer::Cosine(const std::vector<std::string>& a,
-                               const std::vector<std::string>& b) const {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  std::unordered_map<std::string, double> va, vb;
-  for (const std::string& t : a) va[t] += 1.0;
-  for (const std::string& t : b) vb[t] += 1.0;
-  double dot = 0.0, norm_a = 0.0, norm_b = 0.0;
-  // Reweight in place through the iteration reference — re-looking the
-  // token up mid-iteration costs a second hash probe per entry.
-  for (auto& [token, weight] : va) {
-    weight *= Idf(token);
-    norm_a += weight * weight;
-  }
-  for (auto& [token, weight] : vb) {
-    weight *= Idf(token);
-    norm_b += weight * weight;
-  }
-  for (const auto& [token, wa] : va) {
-    auto it = vb.find(token);
-    if (it != vb.end()) dot += wa * it->second;
-  }
-  if (norm_a == 0.0 || norm_b == 0.0) return 0.0;
-  return dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
 }
 
 }  // namespace bdi::text

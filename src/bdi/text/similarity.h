@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bdi/text/interner.h"
@@ -46,9 +45,6 @@ struct SimilarityScratch {
   /// cost a masked read-modify-write per flag).
   std::vector<uint8_t> a_matched;
   std::vector<uint8_t> b_matched;
-  /// Dynamic-program rows shared by the edit-distance kernels.
-  std::vector<size_t> dp_prev;
-  std::vector<size_t> dp_cur;
   /// Per-column running maxima of the token-pair similarity matrix
   /// (symmetric Monge-Elkan's second direction).
   std::vector<double> col_best;
@@ -59,17 +55,6 @@ struct SimilarityScratch {
   /// cheaper than a probe and its pair space is the whole candidate set.
   TokenPairMemo jw_memo;
 };
-
-/// Levenshtein edit distance (unit costs).
-size_t EditDistance(std::string_view a, std::string_view b);
-
-/// Scratch-buffer form of EditDistance; identical result, no per-call
-/// allocation once `scratch` has warmed up.
-size_t EditDistance(std::string_view a, std::string_view b,
-                    SimilarityScratch& scratch);
-
-/// 1 - EditDistance / max(|a|, |b|); 1.0 for two empty strings.
-double NormalizedEditSimilarity(std::string_view a, std::string_view b);
 
 /// Jaro similarity in [0, 1].
 double JaroSimilarity(std::string_view a, std::string_view b);
@@ -97,20 +82,10 @@ double JaccardSimilarity(const std::vector<std::string>& a,
 double JaccardSimilarityIds(const std::vector<TokenId>& a,
                             const std::vector<TokenId>& b);
 
-/// 2|A ∩ B| / (|A| + |B|) over sorted unique token vectors.
-double DiceSimilarity(const std::vector<std::string>& a,
-                      const std::vector<std::string>& b);
-
 /// |A ∩ B| / min(|A|, |B|); 1.0 if both sets are empty, 0.0 if exactly one
 /// is empty.
 double OverlapCoefficient(const std::vector<std::string>& a,
                           const std::vector<std::string>& b);
-
-/// Jaccard over the strings' word tokens.
-double TokenJaccard(std::string_view a, std::string_view b);
-
-/// Jaccard over character trigrams.
-double TrigramJaccard(std::string_view a, std::string_view b);
 
 /// Monge-Elkan: average over tokens of `a` of the best Jaro-Winkler match in
 /// `b`. Asymmetric; callers usually take max(ME(a,b), ME(b,a)).
@@ -136,57 +111,32 @@ double SymmetricMongeElkan(const TokenInterner& interner,
 /// every bound built on the signatures sound.
 inline constexpr size_t kSignatureClasses = 37;
 
-/// Storage size of the class-count histogram: kSignatureClasses rounded up
-/// so the vector paths can reduce the whole histogram with aligned-width
-/// loads (32 + 8 bytes) and no scalar tail. Bytes past kSignatureClasses
-/// are always zero, so they contribute nothing to any min-sum.
-inline constexpr size_t kSignatureClassStorage = 40;
-
 /// Cheap per-token summary the bounded kernels work from: length, first
 /// character, and a per-class character histogram (counts saturate at 255;
 /// `class_mask` has bit c set iff class c occurs). Signatures are computed
 /// once per distinct token — the interner makes that cheap — and a bound
 /// over two signatures costs a handful of integer operations instead of
-/// the kernel's dynamic program or band scan. The histogram-intersection
-/// reduction behind every signature bound is runtime-dispatched
-/// (scalar / SSE2 / AVX2, see bdi::cpu) and each path produces the
-/// identical integer — a pure u8 min-then-sum, so vectorizing it changes
-/// instruction selection, never results.
+/// the kernel's band scan. The histogram intersection behind every
+/// signature bound walks only the classes set in both masks: word tokens
+/// share a handful of classes, so the walk touches a few bytes.
 struct TokenSignature {
   uint32_t length = 0;
   char first = '\0';
   uint64_t class_mask = 0;
-  std::array<uint8_t, kSignatureClassStorage> class_counts{};
+  std::array<uint8_t, kSignatureClasses> class_counts{};
 };
 
 /// Builds the signature of `token`.
 TokenSignature MakeTokenSignature(std::string_view token);
 
-/// Upper bound on the number of Jaro character matches between two tokens:
-/// min of the lengths, tightened by the shared-character multiset size
-/// when neither histogram saturated (Jaro matches pair equal characters
-/// injectively, so no alignment can match more than the multiset
-/// intersection).
-size_t JaroMatchUpperBound(const TokenSignature& x, const TokenSignature& y);
-
 /// Upper bound on JaroWinklerSimilarity of the two tokens: the Jaro term
-/// is bounded by ((m/|x| + m/|y| + 1) / 3) at m = JaroMatchUpperBound
-/// (transpositions only lower the true value), and the Winkler prefix term
-/// assumes the longest admissible prefix when the first characters agree
-/// and zero otherwise. Guaranteed >= the true Jaro-Winkler value.
+/// is bounded by ((m/|x| + m/|y| + 1) / 3) at m = an upper bound on the
+/// Jaro match count from the two histograms (transpositions only lower
+/// the true value), and the Winkler prefix term assumes the longest
+/// admissible prefix when the first characters agree and zero otherwise.
+/// Guaranteed >= the true Jaro-Winkler value.
 double JaroWinklerUpperBound(const TokenSignature& x,
                              const TokenSignature& y);
-
-/// Lower bound on EditDistance between the two tokens: the length gap
-/// (every unit of it costs an insertion), tightened by
-/// max(|x|, |y|) - shared-character multiset size (every character of the
-/// longer token not covered by the intersection costs an edit).
-size_t EditDistanceLowerBound(const TokenSignature& x,
-                              const TokenSignature& y);
-
-/// Upper bound on NormalizedEditSimilarity, from EditDistanceLowerBound.
-double NormalizedEditSimilarityUpperBound(const TokenSignature& x,
-                                          const TokenSignature& y);
 
 /// Upper bound on SymmetricMongeElkan over interned word sequences, using
 /// only the per-token signatures (indexed by TokenId): the same
@@ -201,13 +151,6 @@ double SymmetricMongeElkanUpperBound(
     const std::vector<TokenSignature>& signatures,
     const std::vector<TokenId>& a, const std::vector<TokenId>& b,
     SimilarityScratch& scratch);
-
-/// Smith-Waterman local-alignment similarity: the best-scoring local
-/// alignment (match +2, mismatch -1, gap -1) normalized by the maximum
-/// achievable score (2 * min(|a|, |b|)), giving [0, 1]. Robust to shared
-/// substrings embedded in unrelated context ("eos 5d" inside a long
-/// title). 1.0 for two empty strings.
-double SmithWatermanSimilarity(std::string_view a, std::string_view b);
 
 /// Similarity of two numbers: 1 when equal, decaying with relative
 /// difference; 0 when one is not parseable as a number.
@@ -226,29 +169,6 @@ inline double NumericSimilarityValues(double va, double vb) {
   double rel = std::abs(va - vb) / denom;
   return std::max(0.0, 1.0 - rel);
 }
-
-/// Corpus-weighted cosine similarity. Add documents first, then query pairs;
-/// idf weights are computed over everything added.
-class TfIdfVectorizer {
- public:
-  TfIdfVectorizer() = default;
-
-  /// Registers a document's tokens for document-frequency statistics.
-  void AddDocument(const std::vector<std::string>& tokens);
-
-  /// log((1 + N) / (1 + df)) + 1; unseen tokens get the max idf.
-  double Idf(const std::string& token) const;
-
-  /// Cosine of tf-idf vectors of the two token multisets.
-  double Cosine(const std::vector<std::string>& a,
-                const std::vector<std::string>& b) const;
-
-  size_t num_documents() const { return num_documents_; }
-
- private:
-  std::unordered_map<std::string, size_t> document_frequency_;
-  size_t num_documents_ = 0;
-};
 
 }  // namespace bdi::text
 

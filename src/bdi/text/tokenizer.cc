@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "bdi/common/string_util.h"
-
 namespace bdi::text {
 
 std::vector<std::string> WordTokens(std::string_view s) {
@@ -21,23 +19,6 @@ std::vector<std::string> WordTokens(std::string_view s) {
   }
   if (!current.empty()) tokens.push_back(std::move(current));
   return tokens;
-}
-
-std::vector<std::string> QGrams(std::string_view s, int q) {
-  std::string lowered = ToLower(s);
-  std::vector<std::string> grams;
-  if (q < 1) q = 1;
-  size_t uq = static_cast<size_t>(q);
-  if (lowered.empty()) return grams;
-  if (lowered.size() <= uq) {
-    grams.push_back(lowered);
-    return grams;
-  }
-  grams.reserve(lowered.size() - uq + 1);
-  for (size_t i = 0; i + uq <= lowered.size(); ++i) {
-    grams.push_back(lowered.substr(i, uq));
-  }
-  return grams;
 }
 
 std::vector<std::string> TokenSet(std::string_view s) {

@@ -11,11 +11,6 @@ namespace bdi::text {
 /// "5d"}). Non-alphanumeric characters are separators.
 std::vector<std::string> WordTokens(std::string_view s);
 
-/// Character q-grams of the lowercased input with `q >= 1`; inputs shorter
-/// than q yield the whole (lowercased) string as a single gram. Padding is
-/// not applied.
-std::vector<std::string> QGrams(std::string_view s, int q);
-
 /// Word tokens deduplicated and sorted — the token *set* used by set
 /// similarities.
 std::vector<std::string> TokenSet(std::string_view s);

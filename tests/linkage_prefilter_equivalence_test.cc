@@ -58,6 +58,19 @@ TEST(LinkagePrefilterParallelEquivalenceTest, LinearScorerParallel) {
   RunWith(world, ScorerKind::kLinear, 8);
 }
 
+// The Linker's learned scorer is untrained (all-zero weights), so every
+// pair scores exactly sigmoid(0) and its bound cannot prune anything; the
+// run must still reproduce the reference matcher's match list and scores.
+TEST(LinkagePrefilterParallelEquivalenceTest, LearnedScorerSerial) {
+  synth::SyntheticWorld world = MakeWorld();
+  RunWith(world, ScorerKind::kLearned, 1);
+}
+
+TEST(LinkagePrefilterParallelEquivalenceTest, LearnedScorerParallel) {
+  synth::SyntheticWorld world = MakeWorld();
+  RunWith(world, ScorerKind::kLearned, 8);
+}
+
 // Every candidate the prefilter would skip must truly score below the
 // threshold — checked against the full extractor over all candidates of
 // the synthetic world, for each scorer kind.
@@ -96,7 +109,8 @@ TEST(LinkagePrefilterParallelEquivalenceTest, SkippedPairsScoreBelowThreshold) {
 }
 
 // Kernel-level fuzz for the signature bounds: on random token pairs the
-// bounded kernels must never under-bound the true kernels.
+// Jaro-Winkler bound, and on random token sequences the Monge-Elkan bound,
+// must never under-bound the true kernels.
 TEST(LinkagePrefilterParallelEquivalenceTest, SignatureBoundsNeverUnderBound) {
   std::mt19937 rng(1234);
   std::uniform_int_distribution<int> len_dist(0, 14);
@@ -118,11 +132,6 @@ TEST(LinkagePrefilterParallelEquivalenceTest, SignatureBoundsNeverUnderBound) {
     text::TokenSignature sy = text::MakeTokenSignature(y);
     ASSERT_GE(text::JaroWinklerUpperBound(sx, sy),
               text::JaroWinklerSimilarity(x, y))
-        << '"' << x << "\" vs \"" << y << '"';
-    ASSERT_LE(text::EditDistanceLowerBound(sx, sy), text::EditDistance(x, y))
-        << '"' << x << "\" vs \"" << y << '"';
-    ASSERT_GE(text::NormalizedEditSimilarityUpperBound(sx, sy),
-              text::NormalizedEditSimilarity(x, y))
         << '"' << x << "\" vs \"" << y << '"';
   }
   // Monge-Elkan bound over random short token sequences.

@@ -42,8 +42,8 @@ LinkageResult RunProgressive(const synth::SyntheticWorld& world,
 // Unlimited budget: the scheduler reorders comparisons but every
 // prefilter survivor is still scored, so the result must be bitwise the
 // reference matcher's — for every spelling of "unlimited" (0, "100%", an
-// absolute count at least the survivor count), serial and with the slab
-// pool exercised by 8 threads.
+// absolute count at least the survivor count), serial and with the
+// scratch pool exercised by 8 threads.
 TEST(LinkageProgressiveParallelEquivalenceTest, UnlimitedMatchesSlabPath) {
   synth::SyntheticWorld world = MakeWorld();
   for (double budget : {0.0, ParseComparisonBudget("100%").value(), 1e12}) {

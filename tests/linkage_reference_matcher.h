@@ -1,10 +1,10 @@
 // Test-only reference matcher: the per-pair full-kernel loop that the
 // production matcher (the bound-ranked scheduler, ScorePairsProgressive)
 // must reproduce bit for bit when unbudgeted. It has no prefilter, no
-// slabs, no scheduling and no threads — every candidate pair gets
+// scratch pool, no scheduling and no threads — every candidate pair gets
 // `scorer.Score(extractor.Extract(a, b))` — so agreement with it pins
-// every shortcut the runtime path takes: sound bounds, batch kernels,
-// SIMD dispatch, chunking and schedule order.
+// every shortcut the runtime path takes: sound bounds, warm scratch
+// reuse, chunking and schedule order.
 #ifndef BDI_TESTS_LINKAGE_REFERENCE_MATCHER_H_
 #define BDI_TESTS_LINKAGE_REFERENCE_MATCHER_H_
 

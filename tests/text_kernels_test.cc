@@ -66,19 +66,6 @@ TEST(KernelGoldenTest, JaroWinklerKnownValues) {
   EXPECT_EQ(JaroWinklerSimilarity("abc", "xyz", scratch), 0.0);  // no-match
 }
 
-TEST(KernelGoldenTest, EditDistanceScratchMatchesReference) {
-  SimilarityScratch scratch;
-  for (const char* a : kEdgeCases) {
-    for (const char* b : kEdgeCases) {
-      EXPECT_EQ(EditDistance(a, b), EditDistance(a, b, scratch))
-          << "a=\"" << a << "\" b=\"" << b << "\"";
-    }
-  }
-  EXPECT_EQ(EditDistance("", "", scratch), 0u);
-  EXPECT_EQ(EditDistance("", "abc", scratch), 3u);
-  EXPECT_EQ(EditDistance("kitten", "sitting", scratch), 3u);
-}
-
 TEST(KernelGoldenTest, SymmetricMongeElkanMatchesTwoPassReference) {
   SimilarityScratch scratch;
   for (const char* a : kEdgeCases) {
@@ -131,7 +118,6 @@ TEST(KernelFuzzTest, ScratchKernelsMatchStringKernels) {
     const std::string& b = corpus[(i * 7 + 13) % corpus.size()];
     EXPECT_EQ(JaroWinklerSimilarity(a, b),
               JaroWinklerSimilarity(a, b, scratch));
-    EXPECT_EQ(EditDistance(a, b), EditDistance(a, b, scratch));
     EXPECT_EQ(ReferenceSymmetricMongeElkan(a, b),
               InternedSymmetricMongeElkan(a, b, scratch));
   }
@@ -153,7 +139,7 @@ TEST(KernelFuzzTest, JaroWinklerIsExactlySymmetric) {
 }
 
 TEST(KernelFuzzTest, ReusedScratchLeaksNoState) {
-  // Interleave wildly different sizes so stale flags/rows would surface.
+  // Interleave wildly different sizes so stale match flags would surface.
   SimilarityScratch scratch;
   std::vector<std::string> corpus = FuzzStrings(60);
   for (const std::string& a : corpus) {
@@ -161,7 +147,6 @@ TEST(KernelFuzzTest, ReusedScratchLeaksNoState) {
                                  std::string(200, 'q'), a}) {
       EXPECT_EQ(JaroWinklerSimilarity(a, b),
                 JaroWinklerSimilarity(a, b, scratch));
-      EXPECT_EQ(EditDistance(a, b), EditDistance(a, b, scratch));
     }
   }
 }

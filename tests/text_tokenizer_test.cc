@@ -19,21 +19,6 @@ TEST(TokenizerTest, WordTokensKeepDigits) {
   EXPECT_EQ(WordTokens("a1b2"), (std::vector<std::string>{"a1b2"}));
 }
 
-TEST(TokenizerTest, QGramsBasic) {
-  EXPECT_EQ(QGrams("abcd", 3), (std::vector<std::string>{"abc", "bcd"}));
-  EXPECT_EQ(QGrams("ab", 3), (std::vector<std::string>{"ab"}));
-  EXPECT_TRUE(QGrams("", 3).empty());
-}
-
-TEST(TokenizerTest, QGramsLowercases) {
-  EXPECT_EQ(QGrams("ABC", 2), (std::vector<std::string>{"ab", "bc"}));
-}
-
-TEST(TokenizerTest, QGramsClampQ) {
-  // q < 1 behaves as q = 1.
-  EXPECT_EQ(QGrams("ab", 0), (std::vector<std::string>{"a", "b"}));
-}
-
 TEST(TokenizerTest, TokenSetSortedUnique) {
   EXPECT_EQ(TokenSet("b a b c a"),
             (std::vector<std::string>{"a", "b", "c"}));
