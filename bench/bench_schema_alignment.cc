@@ -1,6 +1,11 @@
 // E5 — Schema alignment under increasing heterogeneity: deterministic
 // single mediated schema (connected-components vs center clustering)
 // against the probabilistic mediated schema's consensus (pay-as-you-go).
+// main returns 1, naming the broken inequality, when the printed tables
+// break the expected shape.
+#include <string>
+#include <utility>
+
 #include "bdi/common/string_util.h"
 #include "bdi/common/table.h"
 #include "bdi/core/integrator.h"
@@ -11,6 +16,7 @@
 
 using namespace bdi;
 using namespace bdi::schema;
+using bdi::bench::ShapeChecks;
 
 int main() {
   bench::Banner("E5",
@@ -19,6 +25,14 @@ int main() {
                 "precision; the probabilistic consensus recovers recall "
                 "under high synonym/decoration noise without giving up "
                 "much precision");
+
+  ShapeChecks checks;
+  // One inequality of the shape on a row: "<row>: <claim> (lhs vs rhs)".
+  auto expect = [&checks](bool holds, const std::string& row,
+                          const char* claim, double lhs, double rhs) {
+    checks.Expect(holds, row + ": " + claim + " (" + FormatDouble(lhs, 3) +
+                             " vs " + FormatDouble(rhs, 3) + ")");
+  };
 
   TextTable table({"synonyms", "decoration", "variant", "precision",
                    "recall", "f1", "#clusters"});
@@ -45,19 +59,23 @@ int main() {
                       FormatDouble(quality.recall, 3),
                       FormatDouble(quality.f1, 3),
                       std::to_string(schema.clusters.size())});
+        return quality;
       };
 
       MediatedSchemaConfig cc;
       cc.method = ClusterMethod::kConnectedComponents;
-      add_row("conn-comp", BuildMediatedSchema(stats, edges, cc));
+      SchemaQuality conn_comp =
+          add_row("conn-comp", BuildMediatedSchema(stats, edges, cc));
 
-      MediatedSchemaConfig center;
-      center.method = ClusterMethod::kCenter;
-      add_row("center", BuildMediatedSchema(stats, edges, center));
+      MediatedSchemaConfig center_config;
+      center_config.method = ClusterMethod::kCenter;
+      SchemaQuality center =
+          add_row("center", BuildMediatedSchema(stats, edges, center_config));
 
       ProbabilisticMediatedSchema pms =
           ProbabilisticMediatedSchema::Build(stats, edges, {});
-      add_row("probabilistic", pms.Consensus(stats, 0.5));
+      SchemaQuality probabilistic =
+          add_row("probabilistic", pms.Consensus(stats, 0.5));
 
       // The feedback loop: run linkage on the center schema, then merge
       // clusters that agree on linked entities (the tutorial's
@@ -66,7 +84,31 @@ int main() {
       pipeline_config.linkage_feedback = true;
       core::IntegrationReport report =
           core::Integrator(pipeline_config).Run(world.dataset);
-      add_row("center+feedback", report.schema);
+      SchemaQuality feedback = add_row("center+feedback", report.schema);
+
+      std::string row = "synonyms ";
+      row += FormatDouble(synonym_prob, 1);
+      row += ", decoration ";
+      row += FormatDouble(decoration_prob, 1);
+      expect(center.precision > conn_comp.precision, row,
+             "center precision > conn-comp precision", center.precision,
+             conn_comp.precision);
+      const std::pair<const char*, SchemaQuality> others[] = {
+          {"conn-comp", conn_comp},
+          {"center", center},
+          {"probabilistic", probabilistic}};
+      for (const auto& [name, other] : others) {
+        std::string claim = "center+feedback f1 >= ";
+        claim += name;
+        claim += " f1";
+        expect(feedback.f1 >= other.f1, row, claim.c_str(), feedback.f1,
+               other.f1);
+      }
+      if (synonym_prob == 0.8) {
+        expect(probabilistic.recall >= center.recall, row,
+               "probabilistic recall >= center recall", probabilistic.recall,
+               center.recall);
+      }
     }
   }
   table.Print(
@@ -83,6 +125,7 @@ int main() {
   AttributeStatistics stats = AttributeStatistics::Compute(world.dataset);
   std::vector<AttrEdge> edges = BuildCandidateEdges(stats, {});
   TextTable curve({"threshold", "precision", "recall", "f1"});
+  double previous_precision = 0.0;
   for (double threshold : {0.5, 0.6, 0.65, 0.7, 0.75, 0.8, 0.9}) {
     MediatedSchemaConfig msc;
     msc.threshold = threshold;
@@ -94,7 +137,13 @@ int main() {
                   FormatDouble(quality.precision, 3),
                   FormatDouble(quality.recall, 3),
                   FormatDouble(quality.f1, 3)});
+    std::string row = "E5b threshold ";
+    row += FormatDouble(threshold, 2);
+    expect(quality.precision >= previous_precision, row,
+           "precision >= the previous threshold's", quality.precision,
+           previous_precision);
+    previous_precision = quality.precision;
   }
   curve.Print("Table E5b: precision/recall across clustering thresholds");
-  return 0;
+  return checks.Finish();
 }

@@ -46,6 +46,30 @@ inline synth::WorldConfig CopierWorldConfig(int num_entities = 400,
   return config;
 }
 
+/// The checks of the paper shape a bench prints, made on its own table.
+/// Each Expect is one inequality of the shape; a broken one is printed
+/// with its description, and Finish() gives main's exit code.
+class ShapeChecks {
+ public:
+  void Expect(bool holds, const std::string& inequality) {
+    ++checked_;
+    if (holds) return;
+    ++broken_;
+    std::printf("shape broken: %s\n", inequality.c_str());
+  }
+
+  /// Prints the tally; returns 0 when every inequality held, else 1.
+  int Finish() const {
+    std::printf("shape checks: %zu of %zu hold\n", checked_ - broken_,
+                checked_);
+    return broken_ == 0 ? 0 : 1;
+  }
+
+ private:
+  size_t checked_ = 0;
+  size_t broken_ = 0;
+};
+
 /// Perf-trajectory reporter for the bench harness. Benches record named
 /// measurements (wall seconds, thread count, items/sec); when the binary
 /// was invoked with `--json`, the destructor writes them to

@@ -47,20 +47,36 @@ void AlignSchema(const Dataset& dataset, const IntegratorConfig& config,
   WallTimer timer;
   trace::StageSpan span("schema");
   span.AddItems(dataset.num_attrs());
-  report->stats = schema::AttributeStatistics::Compute(dataset);
-  std::vector<schema::AttrEdge> edges =
-      schema::BuildCandidateEdges(report->stats, config.attr_match);
-  if (config.probabilistic_schema) {
-    schema::ProbabilisticMediatedSchema pms =
-        schema::ProbabilisticMediatedSchema::Build(report->stats, edges,
-                                                   config.probabilistic);
-    report->schema = pms.Consensus(report->stats, config.consensus_tau);
-  } else {
-    report->schema = schema::BuildMediatedSchema(report->stats, edges,
-                                                 config.mediated_schema);
+  {
+    trace::StageSpan stats_span("stats");
+    stats_span.AddItems(dataset.num_records());
+    report->stats = schema::AttributeStatistics::Compute(dataset);
   }
-  report->normalizer =
-      schema::ValueNormalizer::Fit(report->stats, report->schema);
+  std::vector<schema::AttrEdge> edges;
+  {
+    trace::StageSpan edges_span("edges");
+    edges = schema::BuildCandidateEdges(report->stats, config.attr_match);
+    edges_span.AddItems(edges.size());
+  }
+  {
+    trace::StageSpan cluster_span("cluster");
+    if (config.probabilistic_schema) {
+      schema::ProbabilisticMediatedSchema pms =
+          schema::ProbabilisticMediatedSchema::Build(report->stats, edges,
+                                                     config.probabilistic);
+      report->schema = pms.Consensus(report->stats, config.consensus_tau);
+    } else {
+      report->schema = schema::BuildMediatedSchema(report->stats, edges,
+                                                   config.mediated_schema);
+    }
+    cluster_span.AddItems(report->schema.clusters.size());
+  }
+  {
+    trace::StageSpan normalizer_span("normalizer");
+    report->normalizer =
+        schema::ValueNormalizer::Fit(report->stats, report->schema);
+    normalizer_span.AddItems(report->stats.profiles().size());
+  }
   report->schema_seconds = timer.ElapsedSeconds();
 }
 

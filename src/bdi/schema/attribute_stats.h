@@ -44,8 +44,11 @@ class AttributeStatistics {
  public:
   static constexpr size_t kMaxSampleValues = 64;
 
-  /// Scans the dataset once and builds all profiles.
-  static AttributeStatistics Compute(const Dataset& dataset);
+  /// Scans the dataset once and builds all profiles. Sources are profiled
+  /// in parallel (`max_parallelism` as for ParallelFor: 0 = the shared
+  /// pool, 1 = inline serial); the statistics are the same either way.
+  static AttributeStatistics Compute(const Dataset& dataset,
+                                     size_t max_parallelism = 0);
 
   const std::vector<AttrProfile>& profiles() const { return profiles_; }
 

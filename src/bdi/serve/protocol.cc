@@ -10,6 +10,16 @@ Status BadRequest(const std::string& what) {
   return Status::InvalidArgument("request: " + what);
 }
 
+// "'<key>' <what>", built with += rather than a `"'" + std::string(key)`
+// chain, which GCC 12 misreads as an overlapping copy (-Wrestrict).
+Status BadMember(std::string_view key, std::string_view what) {
+  std::string message = "'";
+  message += key;
+  message += "' ";
+  message += what;
+  return BadRequest(message);
+}
+
 // Reads an optional integer member, range-checked. JSON numbers are
 // doubles; anything non-integral is rejected rather than floored.
 Status ReadInt(const JsonValue& obj, std::string_view key, long long min,
@@ -17,13 +27,17 @@ Status ReadInt(const JsonValue& obj, std::string_view key, long long min,
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return Status::OK();
   if (v->kind != JsonValue::Kind::kNumber) {
-    return BadRequest("'" + std::string(key) + "' must be a number");
+    return BadMember(key, "must be a number");
   }
   double d = v->number;
   if (d != std::floor(d) || d < static_cast<double>(min) ||
       d > static_cast<double>(max)) {
-    return BadRequest("'" + std::string(key) + "' must be an integer in [" +
-                      std::to_string(min) + ", " + std::to_string(max) + "]");
+    std::string range = "must be an integer in [";
+    range += std::to_string(min);
+    range += ", ";
+    range += std::to_string(max);
+    range += ']';
+    return BadMember(key, range);
   }
   *out = static_cast<long long>(d);
   return Status::OK();
@@ -34,10 +48,10 @@ Status ReadString(const JsonValue& obj, std::string_view key,
                   std::string* out) {
   const JsonValue* v = obj.Find(key);
   if (v == nullptr || v->kind != JsonValue::Kind::kString) {
-    return BadRequest("'" + std::string(key) + "' must be a string");
+    return BadMember(key, "must be a string");
   }
   if (v->string.empty()) {
-    return BadRequest("'" + std::string(key) + "' must be non-empty");
+    return BadMember(key, "must be non-empty");
   }
   *out = v->string;
   return Status::OK();

@@ -52,7 +52,9 @@ TEST(IntegratorMetricsTest, MetricsOnAndOffProduceIdenticalOutput) {
   ASSERT_FALSE(on.metrics_json.empty());
   for (const char* expected :
        {"\"schema_version\": 1", "pipeline/linkage/blocking",
-        "pipeline/fusion", "pipeline/schema",
+        "pipeline/fusion", "pipeline/schema", "pipeline/schema/stats",
+        "pipeline/schema/edges", "pipeline/schema/cluster",
+        "pipeline/schema/normalizer",
         "bdi.linkage.blocking.pairs.generated",
         "bdi.linkage.candidate_pairs", "bdi.fusion.em.iterations",
         "bdi.fusion.values.interned"}) {

@@ -6,9 +6,12 @@
 
 #include "bdi/fusion/evaluation.h"
 #include "bdi/synth/world.h"
+#include "numbered.h"
 
 namespace bdi::fusion {
 namespace {
+
+using testing_util::Numbered;
 
 ClaimDb SkewedDb() {
   // Sources 0,1 always right; 2 always wrong over 30 items.
@@ -18,9 +21,9 @@ ClaimDb SkewedDb() {
     DataItem item;
     item.entity = i;
     item.attr = 2;
-    item.claims = {{0, "t" + std::to_string(i)},
-                   {1, "t" + std::to_string(i)},
-                   {2, "f" + std::to_string(i)}};
+    item.claims = {{0, Numbered("t", i)},
+                   {1, Numbered("t", i)},
+                   {2, Numbered("f", i)}};
     db.AddItem(item);
   }
   return db;
@@ -29,7 +32,7 @@ ClaimDb SkewedDb() {
 TEST(TwoEstimatesTest, LearnsSourceErrors) {
   FusionResult result = TwoEstimatesFusion().Resolve(SkewedDb());
   for (int i = 0; i < 30; ++i) {
-    EXPECT_EQ(result.chosen[i], "t" + std::to_string(i));
+    EXPECT_EQ(result.chosen[i], Numbered("t", i));
   }
   EXPECT_GT(result.source_accuracy[0], result.source_accuracy[2]);
 }
@@ -37,7 +40,7 @@ TEST(TwoEstimatesTest, LearnsSourceErrors) {
 TEST(PooledInvestmentTest, TrustFlowsToConsistentSources) {
   FusionResult result = PooledInvestmentFusion().Resolve(SkewedDb());
   for (int i = 0; i < 30; ++i) {
-    EXPECT_EQ(result.chosen[i], "t" + std::to_string(i));
+    EXPECT_EQ(result.chosen[i], Numbered("t", i));
   }
   EXPECT_GT(result.source_accuracy[0], result.source_accuracy[2]);
 }

@@ -6,9 +6,12 @@
 #include "bdi/fusion/copy_detection.h"
 #include "bdi/fusion/evaluation.h"
 #include "bdi/synth/world.h"
+#include "numbered.h"
 
 namespace bdi::fusion {
 namespace {
+
+using testing_util::Numbered;
 
 synth::SyntheticWorld CopierWorld(uint64_t seed, int copiers,
                                   double copy_rate = 0.85) {
@@ -64,8 +67,8 @@ TEST(CopyDetectionTest, SharedFalseValuesAreTheSignal) {
     DataItem item;
     item.entity = i;
     item.attr = 2;
-    std::string truth = "t" + std::to_string(i);
-    std::string wrong = "w" + std::to_string(i);
+    std::string truth = Numbered("t", i);
+    std::string wrong = Numbered("w", i);
     if (i % 2 == 0) {
       item.claims = {{0, wrong}, {1, wrong}, {2, truth}};
     } else {

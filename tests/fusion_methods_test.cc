@@ -8,9 +8,12 @@
 #include "bdi/fusion/fusion.h"
 #include "bdi/fusion/truthfinder.h"
 #include "bdi/synth/world.h"
+#include "numbered.h"
 
 namespace bdi::fusion {
 namespace {
+
+using testing_util::Numbered;
 
 ClaimDb TwoValueDb() {
   // Item 0: sources 0,1 say "x"; source 2 says "y".
@@ -62,14 +65,14 @@ TEST(AccuTest, AccurateSourcesDominate) {
     DataItem item;
     item.entity = i;
     item.attr = 2;
-    item.claims = {{0, "t" + std::to_string(i)},
-                   {1, "t" + std::to_string(i)},
-                   {2, "f" + std::to_string(i)}};
+    item.claims = {{0, Numbered("t", i)},
+                   {1, Numbered("t", i)},
+                   {2, Numbered("f", i)}};
     db.AddItem(item);
   }
   FusionResult result = AccuFusion().Resolve(db);
   for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(result.chosen[i], "t" + std::to_string(i));
+    EXPECT_EQ(result.chosen[i], Numbered("t", i));
   }
   EXPECT_GT(result.source_accuracy[0], 0.9);
   EXPECT_LT(result.source_accuracy[2], 0.1);
@@ -275,9 +278,9 @@ TEST(TruthFinderTest, TrustPropagates) {
     DataItem item;
     item.entity = i;
     item.attr = 2;
-    item.claims = {{0, "t" + std::to_string(i)},
-                   {1, "t" + std::to_string(i)},
-                   {2, "f" + std::to_string(i)}};
+    item.claims = {{0, Numbered("t", i)},
+                   {1, Numbered("t", i)},
+                   {2, Numbered("f", i)}};
     db.AddItem(item);
   }
   FusionResult result = TruthFinderFusion().Resolve(db);

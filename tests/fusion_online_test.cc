@@ -4,9 +4,12 @@
 
 #include "bdi/fusion/evaluation.h"
 #include "bdi/synth/world.h"
+#include "numbered.h"
 
 namespace bdi::fusion {
 namespace {
+
+using testing_util::Numbered;
 
 ClaimDb UnanimousDb(int sources, int items) {
   ClaimDb db;
@@ -16,7 +19,7 @@ ClaimDb UnanimousDb(int sources, int items) {
     item.entity = i;
     item.attr = 2;
     for (int s = 0; s < sources; ++s) {
-      item.claims.push_back({s, "t" + std::to_string(i)});
+      item.claims.push_back({s, Numbered("t", i)});
     }
     db.AddItem(item);
   }
@@ -28,7 +31,7 @@ TEST(OnlineFusionTest, UnanimousItemsStopEarly) {
   std::vector<double> accuracy(10, 0.9);
   OnlineFusionResult result = ResolveOnline(db, accuracy).value();
   for (size_t i = 0; i < db.items().size(); ++i) {
-    EXPECT_EQ(result.chosen[i], "t" + std::to_string(i));
+    EXPECT_EQ(result.chosen[i], Numbered("t", i));
     EXPECT_LT(result.probes[i], 10u) << "should not probe everyone";
   }
   // With 10 equal 0.9-accuracy sources, the majority becomes unassailable

@@ -26,9 +26,12 @@
 #include "bdi/model/validate.h"
 #include "bdi/serve/protocol.h"
 #include "bdi/serve/wire.h"
+#include "numbered.h"
 
 namespace bdi {
 namespace {
+
+using testing_util::Numbered;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -106,11 +109,11 @@ std::string ValidCorpus() {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"source", "record", "attribute", "value"});
   for (int r = 0; r < 40; ++r) {
-    std::string source = "s" + std::to_string(r % 4) + ".com";
+    std::string source = Numbered("s", r % 4) + ".com";
     for (int f = 0; f < 3; ++f) {
       rows.push_back({source, std::to_string(r),
-                      "attr" + std::to_string(f),
-                      "value " + std::to_string(r) + "," + std::to_string(f)});
+                      Numbered("attr", f),
+                      Numbered("value ", r) + "," + std::to_string(f)});
     }
   }
   std::string out;
@@ -124,7 +127,10 @@ std::string ValidCorpus() {
 std::string ValidLabels() {
   std::string out = "record,entity\n";
   for (int r = 0; r < 40; ++r) {
-    out += std::to_string(r) + "," + std::to_string(r / 2) + "\n";
+    out += std::to_string(r);
+    out += ',';
+    out += std::to_string(r / 2);
+    out += '\n';
   }
   return out;
 }
@@ -268,7 +274,7 @@ TEST(IngestionFuzzTest, GeneratedDatasetsWithHostileValuesRoundTrip) {
     int64_t num_sources = rng.UniformInt(1, 4);
     std::vector<SourceId> sources;
     for (int64_t s = 0; s < num_sources; ++s) {
-      sources.push_back(dataset.AddSource("s" + std::to_string(s)));
+      sources.push_back(dataset.AddSource(Numbered("s", s)));
     }
     int64_t num_records = rng.UniformInt(1, 25);
     for (int64_t r = 0; r < num_records; ++r) {
@@ -276,7 +282,7 @@ TEST(IngestionFuzzTest, GeneratedDatasetsWithHostileValuesRoundTrip) {
       int64_t num_fields = rng.UniformInt(1, 4);
       for (int64_t f = 0; f < num_fields; ++f) {
         fields.push_back(
-            Field{dataset.InternAttr("a" + std::to_string(f)),
+            Field{dataset.InternAttr(Numbered("a", f)),
                   RandomField(rng)});
       }
       dataset.AddRecord(sources[static_cast<size_t>(rng.UniformInt(

@@ -12,9 +12,12 @@
 #include "bdi/linkage/blocking.h"
 #include "bdi/schema/mediated_schema.h"
 #include "bdi/synth/world.h"
+#include "numbered.h"
 
 namespace bdi {
 namespace {
+
+using testing_util::Numbered;
 
 // --- Fusion: claim order must not matter -------------------------------
 
@@ -28,7 +31,7 @@ fusion::ClaimDb RandomClaimDb(Rng* rng, int items, int sources) {
     for (int s = 0; s < sources; ++s) {
       if (rng->Bernoulli(0.7)) {
         item.claims.push_back(
-            {s, "v" + std::to_string(rng->UniformInt(0, 3))});
+            {s, Numbered("v", rng->UniformInt(0, 3))});
       }
     }
     if (!item.claims.empty()) db.AddItem(item);

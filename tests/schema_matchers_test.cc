@@ -38,48 +38,64 @@ AttrProfile MakeNumericProfile(SourceId source, AttrId attr,
   return profile;
 }
 
+double Name(const AttrProfile& a, const AttrProfile& b) {
+  std::vector<AttrProfile> profiles = {a, b};
+  return AttrMatcher(profiles).NameSimilarity(0, 1);
+}
+
+double Value(const AttrProfile& a, const AttrProfile& b) {
+  std::vector<AttrProfile> profiles = {a, b};
+  return AttrMatcher(profiles).ValueSimilarity(0, 1);
+}
+
+double Combined(const AttrProfile& a, const AttrProfile& b,
+                const AttrMatchConfig& config) {
+  std::vector<AttrProfile> profiles = {a, b};
+  return AttrMatcher(profiles).CombinedSimilarity(0, 1, config);
+}
+
 TEST(NameSimilarityTest, IdenticalNormalizedNames) {
   AttrProfile a = MakeProfile(0, 0, "weight", {"1"});
   AttrProfile b = MakeProfile(1, 1, "weight", {"2"});
-  EXPECT_DOUBLE_EQ(NameSimilarity(a, b), 1.0);
+  EXPECT_DOUBLE_EQ(Name(a, b), 1.0);
 }
 
 TEST(NameSimilarityTest, ContainmentBonus) {
   AttrProfile a = MakeProfile(0, 0, "weight", {"1"});
   AttrProfile b = MakeProfile(1, 1, "item weight", {"2"});
   b.raw_name = "item weight";
-  EXPECT_GE(NameSimilarity(a, b), 0.85);
+  EXPECT_GE(Name(a, b), 0.85);
 }
 
 TEST(NameSimilarityTest, UnrelatedNamesLow) {
   AttrProfile a = MakeProfile(0, 0, "color", {"1"});
   AttrProfile b = MakeProfile(1, 1, "impedance", {"2"});
-  EXPECT_LT(NameSimilarity(a, b), 0.6);
+  EXPECT_LT(Name(a, b), 0.6);
 }
 
 TEST(ValueSimilarityTest, CategoricalOverlap) {
   AttrProfile a = MakeProfile(0, 0, "c1", {"red", "blue", "green"});
   AttrProfile b = MakeProfile(1, 1, "c2", {"red", "blue", "yellow"});
-  EXPECT_DOUBLE_EQ(ValueSimilarity(a, b), 0.5);  // 2 / 4
+  EXPECT_DOUBLE_EQ(Value(a, b), 0.5);  // 2 / 4
 }
 
 TEST(ValueSimilarityTest, TypeMismatchIsZero) {
   AttrProfile a = MakeProfile(0, 0, "c", {"red", "blue"});
   AttrProfile b = MakeNumericProfile(1, 1, "n", 10.0, 2.0);
-  EXPECT_DOUBLE_EQ(ValueSimilarity(a, b), 0.0);
-  EXPECT_DOUBLE_EQ(ValueSimilarity(b, a), 0.0);
+  EXPECT_DOUBLE_EQ(Value(a, b), 0.0);
+  EXPECT_DOUBLE_EQ(Value(b, a), 0.0);
 }
 
 TEST(ValueSimilarityTest, NumericSameDistributionHigh) {
   AttrProfile a = MakeNumericProfile(0, 0, "x", 100.0, 20.0);
   AttrProfile b = MakeNumericProfile(1, 1, "y", 102.0, 21.0);
-  EXPECT_GT(ValueSimilarity(a, b), 0.85);
+  EXPECT_GT(Value(a, b), 0.85);
 }
 
 TEST(ValueSimilarityTest, NumericFarDistributionsLow) {
   AttrProfile a = MakeNumericProfile(0, 0, "x", 5.0, 1.0);
   AttrProfile b = MakeNumericProfile(1, 1, "y", 5000.0, 900.0);
-  EXPECT_LT(ValueSimilarity(a, b), 0.3);
+  EXPECT_LT(Value(a, b), 0.3);
 }
 
 TEST(ValueSimilarityTest, UnitConvertedDistributionsRecognized) {
@@ -87,21 +103,21 @@ TEST(ValueSimilarityTest, UnitConvertedDistributionsRecognized) {
   AttrProfile grams = MakeNumericProfile(0, 0, "w", 800.0, 300.0);
   AttrProfile ounces = MakeNumericProfile(1, 1, "w2", 800.0 / 28.35,
                                           300.0 / 28.35);
-  EXPECT_GT(ValueSimilarity(grams, ounces), 0.7);
+  EXPECT_GT(Value(grams, ounces), 0.7);
 }
 
 TEST(ValueSimilarityTest, PowerOfTenRatioNotTreatedAsUnits) {
   // Ratio 10 between unrelated attributes must NOT be auto-converted.
   AttrProfile a = MakeNumericProfile(0, 0, "x", 3.0, 0.5);
   AttrProfile b = MakeNumericProfile(1, 1, "y", 30.0, 5.0);
-  EXPECT_LT(ValueSimilarity(a, b), 0.5);
+  EXPECT_LT(Value(a, b), 0.5);
 }
 
 TEST(ValueSimilarityTest, EmptyProfilesZero) {
   AttrProfile a = MakeProfile(0, 0, "x", {});
   a.num_values = 0;
   AttrProfile b = MakeProfile(1, 1, "y", {"v"});
-  EXPECT_DOUBLE_EQ(ValueSimilarity(a, b), 0.0);
+  EXPECT_DOUBLE_EQ(Value(a, b), 0.0);
 }
 
 TEST(CombinedSimilarityTest, WeightsNormalize) {
@@ -110,10 +126,10 @@ TEST(CombinedSimilarityTest, WeightsNormalize) {
   AttrMatchConfig config;
   config.name_weight = 2.0;
   config.value_weight = 2.0;
-  EXPECT_DOUBLE_EQ(CombinedSimilarity(a, b, config), 1.0);
+  EXPECT_DOUBLE_EQ(Combined(a, b, config), 1.0);
   config.name_weight = 0.0;
   config.value_weight = 0.0;
-  EXPECT_DOUBLE_EQ(CombinedSimilarity(a, b, config), 0.0);
+  EXPECT_DOUBLE_EQ(Combined(a, b, config), 0.0);
 }
 
 TEST(BuildCandidateEdgesTest, SkipsSameSourceAndLowScores) {

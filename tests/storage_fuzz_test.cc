@@ -28,9 +28,12 @@
 #include "bdi/storage/bds_reader.h"
 #include "bdi/storage/bds_writer.h"
 #include "bdi/storage/format.h"
+#include "numbered.h"
 
 namespace bdi::storage {
 namespace {
+
+using testing_util::Numbered;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -70,7 +73,7 @@ std::string ValidBdsBytes(Rng& rng) {
     std::vector<std::pair<std::string, std::string>> fields;
     int64_t num_fields = rng.UniformInt(1, 4);
     for (int64_t f = 0; f < num_fields; ++f) {
-      fields.emplace_back("a" + std::to_string(f), RandomField(rng));
+      fields.emplace_back(Numbered("a", f), RandomField(rng));
     }
     dataset.AddRecord(r % 2 == 0 ? a : b, fields);
   }
@@ -209,10 +212,10 @@ TEST(BdsFuzzTest, ConvertAcceptsExactlyWhatTheCsvReaderAccepts) {
       std::vector<std::string> row;
       if (rng.Bernoulli(0.97)) {
         if (rng.Bernoulli(0.3)) ++record;
-        row = {"s" + std::to_string(rng.UniformInt(0, 2)),
+        row = {Numbered("s", rng.UniformInt(0, 2)),
                rng.Bernoulli(0.99) ? std::to_string(record)
                                    : RandomField(rng),
-               "a" + std::to_string(rng.UniformInt(0, 3)),
+               Numbered("a", rng.UniformInt(0, 3)),
                RandomField(rng)};
       } else {
         int64_t n = rng.UniformInt(1, 6);
@@ -285,14 +288,14 @@ TEST(BdsFuzzTest, HostileValueDatasetsRoundTripThroughBds) {
     int64_t num_sources = rng.UniformInt(1, 4);
     std::vector<SourceId> sources;
     for (int64_t s = 0; s < num_sources; ++s) {
-      sources.push_back(dataset.AddSource("s" + std::to_string(s)));
+      sources.push_back(dataset.AddSource(Numbered("s", s)));
     }
     int64_t num_records = rng.UniformInt(0, 25);
     for (int64_t r = 0; r < num_records; ++r) {
       std::vector<Field> fields;
       int64_t num_fields = rng.UniformInt(1, 4);
       for (int64_t f = 0; f < num_fields; ++f) {
-        fields.push_back(Field{dataset.InternAttr("a" + std::to_string(f)),
+        fields.push_back(Field{dataset.InternAttr(Numbered("a", f)),
                                RandomField(rng)});
       }
       dataset.AddRecord(sources[static_cast<size_t>(rng.UniformInt(
